@@ -115,10 +115,7 @@ REFERENCE_OPTIMA = {
 
 
 def reference_optimum(name: str, kind: str) -> float:
-    value, _ = REFERENCE_OPTIMA[(name, kind)]
-    if value is None:
-        raise LookupError(f"no frozen reference optimum for ({name}, {kind})")
-    return value
+    return REFERENCE_OPTIMA[(name, kind)][0]
 
 
 def random_instance(rng: np.random.Generator, m: int, n: int,
@@ -150,7 +147,7 @@ def random_by_regime(regime: str, seed: int, m: int | None = None,
         mm = int(m) if m is not None else int(rng.integers(2, 6))
         nn = int(n) if n is not None else int(rng.integers(2, 7))
         inst = random_instance(rng, mm, nn, entries)
-        core = structure._hard_core0(inst)
+        core = structure.hard_core(inst)
         if not core:
             found = structure.WEAK_LEARNABLE
         elif len(core) == mm:

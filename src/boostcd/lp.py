@@ -1,10 +1,13 @@
 """A small dense linear-programming solver.
 
 Primal simplex on the full tableau with Bland's anti-cycling rule and a
-two-phase start.  Problems here are desk scale (tens of rows and
+two-phase start.  Problems here are small (up to a few hundred rows and
 columns), so there are no factorization updates, no sparsity, and no
 presolve; the aim is exact-ish vertex solutions with explicit
-feasibility and pivot tolerances.
+feasibility and pivot tolerances.  Pivoting a full tableau accumulates
+roundoff, so every REFRESH_EVERY pivots, and before any status is
+reported, the tableau is recomputed from the original rows by solving
+with the current basis columns.
 
 General form:  optimize c @ x subject to per-row senses
 (<=, ==, >=) and per-variable bounds [lo, hi] with +-inf allowed.
@@ -32,6 +35,8 @@ UNBOUNDED = "unbounded"
 
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
+# Pivots between two recomputations of the tableau from the original rows.
+REFRESH_EVERY = 25
 
 
 @dataclass
@@ -67,27 +72,51 @@ def _pivot(T, b, basis, r, e):
     np.copyto(b, 0.0, where=(b < 0.0) & (b > -1e-11))
 
 
-def _simplex(T, b, basis, cost, enterable, pivot_tol, max_pivots):
+def _refresh(T, b, basis, T0, b0):
+    """Recompute the tableau and the basic values in place from the
+    original rows T0 u = b0, discarding the roundoff of earlier pivots."""
+    sol = np.linalg.solve(T0[:, basis], np.column_stack([T0, b0]))
+    T[:] = sol[:, :-1]
+    T[:, basis] = np.eye(len(basis))
+    b[:] = sol[:, -1]
+    np.copyto(b, 0.0, where=(b < 0.0) & (b > -1e-11))
+
+
+def _simplex(T, b, basis, cost, enterable, pivot_tol, max_pivots, T0, b0,
+             floor=-math.inf):
     """Minimize cost @ u on the tableau in place.  Bland's rule: entering
     column is the lowest-index eligible one with negative reduced cost,
-    leaving row breaks ratio ties by lowest basic index.  Returns
-    (status, reduced_costs)."""
+    leaving row breaks ratio ties by lowest basic index.  Stops as OPTIMAL
+    once cost @ u reaches ``floor``, a known lower bound (0 in phase 1).
+    The tableau is refreshed from (T0, b0) every REFRESH_EVERY pivots and
+    re-examined after a refresh before OPTIMAL or UNBOUNDED is returned.
+    Returns (status, reduced_costs)."""
+    stale = 0
     for _ in range(max_pivots):
         cbar = cost - cost[basis] @ T if len(basis) else cost.copy()
         eligible = np.flatnonzero(enterable & (cbar < -pivot_tol))
-        if eligible.size == 0:
-            return OPTIMAL, cbar
-        e = int(eligible[0])
-        colv = T[:, e]
-        pos = colv > pivot_tol
-        if not np.any(pos):
-            return UNBOUNDED, cbar
-        ratios = np.full(len(b), np.inf)
-        ratios[pos] = b[pos] / colv[pos]
-        rmin = float(ratios.min())
-        ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
-        r = int(ties[np.argmin(basis[ties])])
-        _pivot(T, b, basis, r, e)
+        status = OPTIMAL
+        if eligible.size and float(cost[basis] @ b) > floor:
+            e = int(eligible[0])
+            colv = T[:, e]
+            pos = colv > pivot_tol
+            if np.any(pos):
+                ratios = np.full(len(b), np.inf)
+                ratios[pos] = b[pos] / colv[pos]
+                rmin = float(ratios.min())
+                ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
+                r = int(ties[np.argmin(basis[ties])])
+                _pivot(T, b, basis, r, e)
+                stale += 1
+                if stale == REFRESH_EVERY:
+                    _refresh(T, b, basis, T0, b0)
+                    stale = 0
+                continue
+            status = UNBOUNDED
+        if not stale:
+            return status, cbar
+        _refresh(T, b, basis, T0, b0)
+        stale = 0
     raise RuntimeError("simplex pivot budget exceeded")
 
 
@@ -187,37 +216,39 @@ def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL,
     enterable = np.ones(N, dtype=bool)
     enterable[art_cols] = False  # artificials start basic and never re-enter
 
+    T0, b0 = T.copy(), b.copy()
     if art_cols:
         cost1 = np.zeros(N)
         cost1[art_cols] = 1.0
-        status, _ = _simplex(T, b, basis, cost1, enterable, pivot_tol, max_pivots)
+        status, _ = _simplex(T, b, basis, cost1, enterable, pivot_tol, max_pivots, T0, b0,
+                             floor=0.0)
         if status != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded")
         if float(cost1[basis] @ b) > feas_tol:
             return LpOutcome(INFEASIBLE)
-        # pivot leftover artificials out; an all-zero row is redundant
-        art_set = set(art_cols)
-        drop_rows = []
-        for r in range(M):
-            if basis[r] not in art_set:
-                continue
-            row = T[r, :ncols + nslack]
-            j = next((int(k) for k in np.flatnonzero(np.abs(row) > pivot_tol)), None)
-            if j is None:
-                drop_rows.append(r)
-            else:
-                _pivot(T, b, basis, r, j)
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(M), drop_rows)
-            T = T[keep]
-            b = b[keep]
-            basis = basis[keep]
-        T = T[:, :ncols + nslack]
-        enterable = enterable[:ncols + nslack]
+        # pivot leftover artificials out on their largest entry; a row
+        # with none is a combination of the others, so the original row
+        # of its artificial is redundant and is dropped with it
+        art_row = {a: int(np.argmax(T0[:, a])) for a in art_cols}
         N = ncols + nslack
+        keep_tab = np.ones(M, dtype=bool)
+        keep_orig = np.ones(M, dtype=bool)
+        for r in range(M):
+            if basis[r] not in art_row:
+                continue
+            row = np.abs(T[r, :N])
+            if row.size and row.max() > pivot_tol:
+                _pivot(T, b, basis, r, int(np.argmax(row)))
+            else:
+                keep_tab[r] = False
+                keep_orig[art_row[basis[r]]] = False
+        T, b, basis = T[keep_tab, :N], b[keep_tab], basis[keep_tab]
+        T0, b0 = T0[keep_orig, :N], b0[keep_orig]
+        enterable = enterable[:N]
+        _refresh(T, b, basis, T0, b0)
 
     cost2 = np.concatenate([cu, np.zeros(N - ncols)])
-    status, cbar = _simplex(T, b, basis, cost2, enterable, pivot_tol, max_pivots)
+    status, cbar = _simplex(T, b, basis, cost2, enterable, pivot_tol, max_pivots, T0, b0)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
     u = np.zeros(N)

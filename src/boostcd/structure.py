@@ -14,9 +14,15 @@ core), and determines which convergence regime coordinate descent is in:
 * otherwise           -> mixed, with a halfspace witness strict on the
                          off-core rows and null on the core (Motzkin).
 
-Every test here reduces to a small dense LP solved by :mod:`boostcd.lp`;
-strict inequalities are compiled to margin-1 form, which the cone's
-scale invariance makes equivalent.
+The hard core comes from one LP (Goldman-Tucker strict complementarity:
+the cone has a vector positive on its whole support), which also yields
+the dual witness.  :func:`analyze` solves at most three small dense LPs
+with :mod:`boostcd.lp`: the core LP, then for a weakly learnable instance
+the halfspace and gamma LPs, and for a mixed one the Motzkin witness LP.
+Strict inequalities are compiled to margin-1 form, which the cone's scale
+invariance makes equivalent.  The LP solver is not trusted on its own:
+every witness a report carries is checked against A by
+:func:`verify_witness`, and a failed check raises.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ from .lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve
 
 FEAS_TOL = 1e-8
 KERNEL_RANK_TOL = 1e-10
+# Witness residuals are checked relative to the witness's l1 norm: every
+# entry of A has magnitude <= 1, so ||lam||_1 bounds each |a_i . lam| and
+# ||psi||_1 bounds each |(A^T psi)_j|.
+WITNESS_TOL = 1e-7
 
 WEAK_LEARNABLE = "weak_learnable"
 ATTAINABLE = "attainable"
@@ -92,28 +102,64 @@ def attainable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
     return False, None
 
 
-def _hard_core0(inst: BoostInstance) -> list:
-    """0-based hard core: rows some dual cone vector weights positively."""
+def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray]:
+    """0-based hard core and a dual cone vector positive on it, from one LP:
+
+        max 1^T t  s.t.  A^T (t + s) = 0,  0 <= t <= 1,  s >= 0.
+
+    Every feasible t + s is in the dual cone, so t vanishes off the core.
+    By Goldman-Tucker some cone vector is positive on the whole core;
+    scaled to be >= 1 there it makes t = 1 on the core feasible.  So the
+    optimal t is the core's 0/1 indicator, and psi = t + s restricted to
+    the core is positive on it (>= 1) and zero elsewhere.
+    """
     m, n = inst.m, inst.n
-    core = []
-    lhs = inst.a.T
-    senses = [EQ] * n
-    rhs = np.zeros(n)
-    bounds = [(0.0, 1.0)] * m
-    for i in range(m):
-        obj = np.zeros(m)
-        obj[i] = 1.0
-        out = solve(LinearProgram(obj, lhs, senses, rhs, bounds, maximize=True))
-        if out.status != OPTIMAL:
-            raise RuntimeError(f"unexpected LP status {out.status} in hard_core")
-        if out.value > FEAS_TOL:
-            core.append(i)
-    return core
+    obj = np.concatenate([np.ones(m), np.zeros(m)])
+    lhs = np.hstack([inst.a.T, inst.a.T])
+    bounds = [(0.0, 1.0)] * m + [(0.0, math.inf)] * m
+    out = solve(LinearProgram(obj, lhs, [EQ] * n, np.zeros(n), bounds, maximize=True))
+    if out.status != OPTIMAL:
+        raise RuntimeError(f"unexpected LP status {out.status} in hard_core")
+    t, s = out.x[:m], out.x[m:]
+    core0 = [int(i) for i in np.flatnonzero(t > 0.5)]
+    psi = np.zeros(m)
+    psi[core0] = t[core0] + s[core0]
+    return core0, psi
 
 
 def hard_core(inst: BoostInstance) -> list:
     """Hard core as sorted 1-based example ids."""
-    return [i + 1 for i in _hard_core0(inst)]
+    return [i + 1 for i in _dual_core(inst)[0]]
+
+
+def verify_witness(inst: BoostInstance, core0, lam=None, psi=None,
+                   tol: float = WITNESS_TOL) -> None:
+    """Check witnesses against A on their own, for the 0-based core rows.
+
+    Primal lam: A_off @ lam < -tol ||lam||_1 and |A_core @ lam| <=
+    tol ||lam||_1.  Dual psi: psi >= 0, |A^T psi| <= tol ||psi||_1 and
+    psi > tol ||psi||_1 on the core.  Raises InvariantViolationError
+    naming the first relation that fails (NaN entries fail them all).
+    """
+    a = inst.a
+    core = np.zeros(inst.m, dtype=bool)
+    core[list(core0)] = True
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float)
+        scale = tol * float(np.abs(lam).sum())
+        if np.any(~core) and not float(np.max(a[~core] @ lam)) < -scale:
+            raise InvariantViolationError("primal witness fails A_off @ lam < 0")
+        if np.any(core) and not float(np.max(np.abs(a[core] @ lam))) <= scale:
+            raise InvariantViolationError("primal witness fails A_core @ lam = 0")
+    if psi is not None:
+        psi = np.asarray(psi, dtype=float)
+        scale = tol * float(np.abs(psi).sum())
+        if not float(np.min(psi)) >= 0.0:
+            raise InvariantViolationError("dual witness fails psi >= 0")
+        if not float(np.max(np.abs(a.T @ psi))) <= scale:
+            raise InvariantViolationError("dual witness fails A^T psi = 0")
+        if np.any(core) and not float(np.min(psi[core])) > scale:
+            raise InvariantViolationError("dual witness fails psi > 0 on the core")
 
 
 def _nonpositive_nonzero_ray(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
@@ -156,21 +202,19 @@ def decompose(inst: BoostInstance) -> Decomposition:
     the blocks have the certified structure: the off-core block has an
     empty hard core (so it is weakly learnable) and the core block is
     attainable.  Failure of either check raises InvariantViolationError."""
-    core0 = _hard_core0(inst)
+    core0 = _dual_core(inst)[0]
     core_set = set(core0)
     off0 = [i for i in range(inst.m) if i not in core_set]
     off_inst = inst.row_subset(off0) if off0 else None
     core_inst = inst.row_subset(core0) if core0 else None
     if off_inst is not None:
-        stray = _hard_core0(off_inst)
+        stray = _dual_core(off_inst)[0]
         if stray:
             raise InvariantViolationError(
                 f"off-core block has nonempty hard core (sub-rows {stray})"
             )
-    if core_inst is not None:
-        ok, _ = attainable(core_inst)
-        if not ok:
-            raise InvariantViolationError("core block is not attainable")
+    if core_inst is not None and len(_dual_core(core_inst)[0]) != core_inst.m:
+        raise InvariantViolationError("core block is not attainable")
     return Decomposition(
         tuple(i + 1 for i in off0),
         tuple(i + 1 for i in core0),
@@ -286,57 +330,58 @@ class StructureReport:
 
 
 def _mixed_halfspace_witness(inst: BoostInstance, off0, core0) -> Optional[np.ndarray]:
-    """lam with A_off @ lam <= -1 and A_core @ lam = 0 (Motzkin witness)."""
-    n = inst.n
-    senses = [LE] * len(off0) + [EQ] * len(core0)
-    lhs = np.vstack([inst.a[off0, :], inst.a[core0, :]])
-    rhs = np.concatenate([-np.ones(len(off0)), np.zeros(len(core0))])
-    out = solve(LinearProgram(np.zeros(n), lhs, senses, rhs,
-                              bounds=[(-math.inf, math.inf)] * n))
-    return out.x if out.status == OPTIMAL else None
+    """lam with A_off @ lam < 0 and A_core @ lam = 0 (Motzkin witness).
+
+    lam = N @ mu, where the orthonormal columns of N span ker(A_core)
+    (from an SVD, rank tolerance KERNEL_RANK_TOL times the largest
+    singular value) and mu is a strict halfspace witness for the rows of
+    A_off @ N, scaled into [-1, 1].  The core equalities hold by
+    construction, so the LP has only inequality rows.
+    """
+    _, sing, vt = np.linalg.svd(inst.a[core0], full_matrices=True)
+    rank = int(np.count_nonzero(sing > KERNEL_RANK_TOL * sing[0]))
+    basis = vt[rank:].T
+    reduced = inst.a[off0] @ basis
+    top = float(np.max(np.abs(reduced))) if reduced.size else 0.0
+    if top == 0.0:
+        return None
+    ok, mu = weak_learnable(BoostInstance(reduced / top))
+    return basis @ mu if ok else None
 
 
 def analyze(inst: BoostInstance) -> StructureReport:
     """Full structural report: regime, hard core, row split, classical
-    weak learning rate, and primal/dual witnesses.  Cross-checks the
-    regime against the independent Gordan/Stiemke LPs and raises
-    InvariantViolationError on disagreement."""
-    core0 = _hard_core0(inst)
-    off0 = [i for i in range(inst.m) if i not in set(core0)]
+    weak learning rate, and primal/dual witnesses.
+
+    The core LP fixes the regime and gives the dual witness.  Then a
+    weakly learnable instance gets its halfspace witness and its rate
+    from two more LPs, a mixed one its Motzkin witness from one more, and
+    an attainable one none.  Off the weakly learnable regime gamma is
+    exactly 0, attained by the normalized dual witness.  Every witness is
+    checked by :func:`verify_witness`; a missing or failed one raises
+    InvariantViolationError."""
+    core0, psi = _dual_core(inst)
+    core_set = set(core0)
+    off0 = [i for i in range(inst.m) if i not in core_set]
+    witness_primal = witness_dual = None
+    gamma = 0.0
     if not core0:
         regime = WEAK_LEARNABLE
-    elif len(core0) == inst.m:
-        regime = ATTAINABLE
-    else:
-        regime = MIXED
-
-    witness_primal = witness_dual = None
-    if regime == WEAK_LEARNABLE:
-        ok, lam = weak_learnable(inst)
+        ok, witness_primal = weak_learnable(inst)
         if not ok:
             raise InvariantViolationError(
                 "empty hard core but no strict halfspace witness"
             )
-        witness_primal = lam
-    elif regime == ATTAINABLE:
-        ok, psi = attainable(inst)
-        if not ok:
-            raise InvariantViolationError(
-                "full hard core but no strictly positive dual vector"
-            )
-        witness_dual = psi
+        gamma = gamma_classical(inst)
     else:
-        witness_primal = _mixed_halfspace_witness(inst, off0, core0)
-        if witness_primal is None:
-            raise InvariantViolationError("mixed regime but no Motzkin witness")
-        ok, psi_core = attainable(inst.row_subset(core0))
-        if not ok:
-            raise InvariantViolationError("core block is not attainable")
-        psi = np.zeros(inst.m)
-        psi[core0] = psi_core
+        regime = ATTAINABLE if len(core0) == inst.m else MIXED
         witness_dual = psi
+        if regime == MIXED:
+            witness_primal = _mixed_halfspace_witness(inst, off0, core0)
+            if witness_primal is None:
+                raise InvariantViolationError("mixed regime but no Motzkin witness")
+    verify_witness(inst, core0, lam=witness_primal, psi=witness_dual)
 
-    gamma = gamma_classical(inst)
     return StructureReport(
         m=inst.m,
         n=inst.n,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from boostcd import fixtures
 from boostcd.lp import (
     EQ,
     GE,
@@ -53,6 +54,17 @@ def test_equality_rows_via_artificials():
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-12)
+
+
+def test_redundant_equality_rows_are_dropped():
+    # the last row is twice the third; after phase 1 one of their
+    # artificials cannot leave the basis, and its own row must go with it
+    lp = LinearProgram([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
+                       [LE, LE, EQ, EQ], [5.0, 5.0, 1.0, 2.0])
+    out = solve(lp)
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(1.0, abs=1e-12)
+    assert residuals(lp, out.x) <= 1e-12
 
 
 def test_ge_rows():
@@ -170,3 +182,25 @@ def test_degenerate_ratio_ties():
 def test_outcome_dataclass_defaults():
     out = LpOutcome(INFEASIBLE)
     assert out.x is None and out.value is None
+
+
+def test_refreshed_tableau_solves_hard_core_lp_on_sign_draw():
+    # max sum t s.t. A^T psi = 0, psi >= t, 0 <= t <= 1, psi >= 0 on the
+    # third sign draw of rng(5), a 50x20 attainable instance.  Without
+    # refreshing the tableau from the original rows, roundoff makes the
+    # solver report this bounded LP as unbounded.
+    rng = np.random.default_rng(5)
+    for m, n in ((30, 12), (40, 16), (50, 20)):
+        inst = fixtures.random_instance(rng, m, n, "sign")
+    a = inst.a
+    lhs = np.block([[a.T, np.zeros((n, m))], [np.eye(m), -np.eye(m)]])
+    obj = np.concatenate([np.zeros(m), np.ones(m)])
+    lp = LinearProgram(obj, lhs, [EQ] * n + [GE] * m, np.zeros(n + m),
+                       bounds=[(0.0, math.inf)] * m + [(0.0, 1.0)] * m, maximize=True)
+    out = solve(lp)
+    ref = linprog(-obj, A_eq=lhs[:n], b_eq=np.zeros(n), A_ub=-lhs[n:], b_ub=np.zeros(m),
+                  bounds=lp.bounds, method="highs")
+    assert ref.status == 0 and -ref.fun == pytest.approx(50.0, abs=1e-7)
+    assert out.status == OPTIMAL
+    assert out.value == pytest.approx(50.0, abs=1e-7)
+    assert residuals(lp, out.x) <= 1e-8

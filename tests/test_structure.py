@@ -3,10 +3,15 @@ classical rate, kernel bases, and dual certificates."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import boostcd
 from boostcd import boost, fixtures, structure
 from boostcd.instance import make_instance
 from boostcd.losses import LOGISTIC, RiskFunction, make_loss
@@ -14,6 +19,7 @@ from boostcd.structure import (
     ATTAINABLE,
     MIXED,
     WEAK_LEARNABLE,
+    InvariantViolationError,
     _nonpositive_nonzero_ray,
     analyze,
     attainable,
@@ -22,6 +28,7 @@ from boostcd.structure import (
     gamma_classical,
     hard_core,
     kernel_basis,
+    verify_witness,
     weak_learnable,
 )
 
@@ -202,3 +209,104 @@ def test_report_json_shape():
     assert obj["regime"] == "mixed"
     assert obj["hard_core"] == [1, 2]
     assert obj["gamma_classical"] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_analyze_solves_at_most_three_lps(name, monkeypatch):
+    calls = []
+    solve = structure.solve
+
+    def counting(lp, **kwargs):
+        calls.append(lp)
+        return solve(lp, **kwargs)
+
+    monkeypatch.setattr(structure, "solve", counting)
+    rep = analyze(fixtures.FIXTURES[name]())
+    assert len(calls) == {WEAK_LEARNABLE: 3, ATTAINABLE: 1, MIXED: 2}[rep.regime]
+
+
+def _highs_hard_core(a):
+    """1-based hard core from HiGHS, by definition: the union of the
+    supports of dual cone vectors, grown one LP at a time by maximizing
+    the weight on rows not yet known to be in it."""
+    m, n = a.shape
+    core = np.zeros(m, dtype=bool)
+    while not core.all():
+        ref = linprog(-(~core).astype(float), A_eq=a.T, b_eq=np.zeros(n),
+                      bounds=[(0.0, 1.0)] * m, method="highs")
+        assert ref.status == 0
+        grown = ~core & (ref.x > 1e-7)
+        if not grown.any():
+            break
+        core |= grown
+    return [int(i) + 1 for i in np.flatnonzero(core)]
+
+
+def _random_cases():
+    rng = np.random.default_rng(5)  # the draws on which unrefreshed pivots failed
+    for m, n in ((30, 12), (40, 16), (50, 20)):
+        yield fixtures.random_instance(rng, m, n, "sign")
+    rng = np.random.default_rng(3)
+    for m, n, kind in ((48, 40, "sign"), (70, 40, "sign"), (100, 40, "sign"),
+                       (60, 40, "uniform"), (100, 40, "uniform")):
+        yield fixtures.random_instance(rng, m, n, kind)
+    # mixed: a weakly learnable block plus negated copies of ten of its
+    # rows, each pair of which the dual cone weights equally
+    w = fixtures.random_instance(rng, 50, 40, "sign").a
+    yield make_instance(np.vstack([w, -w[:10]]))
+
+
+def test_hard_core_matches_highs_on_random_instances():
+    regimes = set()
+    for inst in _random_cases():
+        rep = analyze(inst)
+        assert list(rep.hard_core) == _highs_hard_core(inst.a)
+        regimes.add(rep.regime)
+    assert regimes == {WEAK_LEARNABLE, ATTAINABLE, MIXED}
+
+
+def test_verify_witness_rejects_corrupted_witnesses():
+    inst = fixtures.confidence_4x3()
+    rep = analyze(inst)
+    core0 = [i - 1 for i in rep.hard_core]
+    lam = np.array(rep.witness_primal)
+    psi = np.array(rep.witness_dual)
+    verify_witness(inst, core0, lam=lam, psi=psi)
+
+    with pytest.raises(InvariantViolationError, match="A_off @ lam < 0"):
+        verify_witness(inst, core0, lam=-lam)
+    with pytest.raises(InvariantViolationError, match="A_core @ lam = 0"):
+        verify_witness(inst, core0, lam=lam + np.array([1e-3, 0.0, 0.0]))
+    with pytest.raises(InvariantViolationError, match="psi >= 0"):
+        verify_witness(inst, core0, psi=psi - np.array([0.0, 0.0, 1e-3, 0.0]))
+    with pytest.raises(InvariantViolationError, match=r"A\^T psi = 0"):
+        verify_witness(inst, core0, psi=psi + np.array([1e-3, 0.0, 0.0, 0.0]))
+    with pytest.raises(InvariantViolationError, match="psi > 0 on the core"):
+        verify_witness(inst, core0 + [3], psi=psi)
+
+
+def test_analyze_raises_on_a_dual_witness_outside_the_kernel(monkeypatch):
+    inst = fixtures.attainable_slow()
+    dual_core = structure._dual_core
+
+    def drifted(instance):
+        core0, psi = dual_core(instance)
+        return core0, psi + np.array([1e-4, 0.0, 0.0])
+
+    monkeypatch.setattr(structure, "_dual_core", drifted)
+    with pytest.raises(InvariantViolationError, match=r"A\^T psi = 0"):
+        analyze(inst)
+
+
+def test_analysis_does_not_import_scipy_optimize():
+    # importing scipy.optimize adds about 16 MB of peak resident memory
+    # and 0.1-0.2 s, which the structure analysis does not need
+    code = ("import sys, boostcd\n"
+            "from boostcd import fixtures, structure\n"
+            "structure.analyze(fixtures.mixed_3x2())\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(boostcd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
