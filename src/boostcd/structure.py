@@ -42,7 +42,7 @@ from .lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve
 
 FEAS_TOL = 1e-8
 KERNEL_RANK_TOL = 1e-10
-# Witness residuals are checked relative to the witness's l1 norm: every
+# Witness equalities are checked relative to the witness's l1 norm: every
 # entry of A has magnitude <= 1, so ||lam||_1 bounds each |a_i . lam| and
 # ||psi||_1 bounds each |(A^T psi)_j|.
 WITNESS_TOL = 1e-7
@@ -131,35 +131,38 @@ def hard_core(inst: BoostInstance) -> list:
     """Hard core as sorted 1-based example ids."""
     return [i + 1 for i in _dual_core(inst)[0]]
 
-
-def verify_witness(inst: BoostInstance, core0, lam=None, psi=None,
-                   tol: float = WITNESS_TOL) -> None:
+def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
     """Check witnesses against A on their own, for the 0-based core rows.
 
-    Primal lam: A_off @ lam < -tol ||lam||_1 and |A_core @ lam| <=
-    tol ||lam||_1.  Dual psi: psi >= 0, |A^T psi| <= tol ||psi||_1 and
-    psi > tol ||psi||_1 on the core.  Raises InvariantViolationError
-    naming the first relation that fails (NaN entries fail them all).
+    Primal lam: A_off @ lam < 0 and |A_core @ lam| <= WITNESS_TOL ||lam||_1.
+    Dual psi: psi >= 0, |A^T psi| <= WITNESS_TOL ||psi||_1 and psi > 0 on
+    the core.  The equalities get WITNESS_TOL; the strict inequalities only
+    a roundoff margin (eps times the length of the sum times the l1 norm),
+    so a true witness with a tiny edge passes.  Raises
+    InvariantViolationError naming the first relation that fails (NaN
+    entries fail them all).
     """
     a = inst.a
+    eps = float(np.finfo(float).eps)
     core = np.zeros(inst.m, dtype=bool)
     core[list(core0)] = True
     if lam is not None:
         lam = np.asarray(lam, dtype=float)
-        scale = tol * float(np.abs(lam).sum())
-        if np.any(~core) and not float(np.max(a[~core] @ lam)) < -scale:
+        norm = float(np.abs(lam).sum())
+        if np.any(~core) and not float(np.max(a[~core] @ lam)) < -inst.n * eps * norm:
             raise InvariantViolationError("primal witness fails A_off @ lam < 0")
-        if np.any(core) and not float(np.max(np.abs(a[core] @ lam))) <= scale:
+        if np.any(core) and not float(np.max(np.abs(a[core] @ lam))) <= WITNESS_TOL * norm:
             raise InvariantViolationError("primal witness fails A_core @ lam = 0")
     if psi is not None:
         psi = np.asarray(psi, dtype=float)
-        scale = tol * float(np.abs(psi).sum())
+        norm = float(np.abs(psi).sum())
         if not float(np.min(psi)) >= 0.0:
             raise InvariantViolationError("dual witness fails psi >= 0")
-        if not float(np.max(np.abs(a.T @ psi))) <= scale:
+        if not float(np.max(np.abs(a.T @ psi))) <= WITNESS_TOL * norm:
             raise InvariantViolationError("dual witness fails A^T psi = 0")
-        if np.any(core) and not float(np.min(psi[core])) > scale:
+        if np.any(core) and not float(np.min(psi[core])) > inst.m * eps * norm:
             raise InvariantViolationError("dual witness fails psi > 0 on the core")
+
 
 
 def _nonpositive_nonzero_ray(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:

@@ -285,6 +285,21 @@ def test_verify_witness_rejects_corrupted_witnesses():
         verify_witness(inst, core0 + [3], psi=psi)
 
 
+@pytest.mark.parametrize("rows, regime, core", [
+    ([[-1.0, 0.0], [1.0, -1e-8]], WEAK_LEARNABLE, ()),
+    ([[-1.0, 0.0, 0.0], [1.0, -1e-8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+     MIXED, (3, 4)),
+    ([[1.0], [-1e-8]], ATTAINABLE, (1, 2)),
+])
+def test_analyze_accepts_true_witnesses_with_a_tiny_edge(rows, regime, core):
+    # The witnesses span eight orders of magnitude (lam = (1, 2e8), psi =
+    # (1, 1e8)), so the strict relations hold by far less than 1e-7 of
+    # their l1 norm; they must still verify.
+    rep = analyze(make_instance(np.array(rows)))
+    assert rep.regime == regime
+    assert rep.hard_core == core
+
+
 def test_analyze_raises_on_a_dual_witness_outside_the_kernel(monkeypatch):
     inst = fixtures.attainable_slow()
     dual_core = structure._dual_core
