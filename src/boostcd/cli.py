@@ -24,7 +24,7 @@ import numpy as np
 
 from . import boost, fixtures, structure
 from .boost import RunConfig, Trace, lam_from_steps, run
-from .instance import BoostInstance, atomic_write_text, read_instance, to_json, write_instance
+from .instance import atomic_write_text, read_instance, to_json, write_instance
 from .linesearch import WolfeParams
 from .losses import LOGISTIC, KINDS, make_loss, RiskFunction
 
@@ -151,7 +151,8 @@ def _series(trace: Trace):
     return ts, objectives
 
 
-def _require_regime(name: str, expected: str) -> BoostInstance:
+def _require_regime(name: str, expected: str):
+    """The named fixture and its structure report, after checking its regime."""
     inst = fixtures.FIXTURES[name]()
     report = structure.analyze(inst)
     if report.regime != expected:
@@ -159,12 +160,12 @@ def _require_regime(name: str, expected: str) -> BoostInstance:
             f"fixture regression: {name} classified {report.regime}, "
             f"expected {expected}"
         )
-    return inst
+    return inst, report
 
 
 def _rates_weak_learnable():
-    inst = _require_regime("weaklearn-3x3", structure.WEAK_LEARNABLE)
-    gamma = structure.gamma_classical(inst)
+    inst, report = _require_regime("weaklearn-3x3", structure.WEAK_LEARNABLE)
+    gamma = report.gamma_classical
     loss = make_loss("exp", inst.m)
     f0 = inst.m * 1.0
     target = 1e-6
@@ -193,7 +194,7 @@ def _rates_weak_learnable():
 
 
 def _rates_attainable(kind: str):
-    inst = _require_regime("attainable-slow", structure.ATTAINABLE)
+    inst, _ = _require_regime("attainable-slow", structure.ATTAINABLE)
     loss = make_loss(kind, inst.m)
     fbar = fixtures.reference_optimum("attainable-slow", kind)
     trace = run(inst, loss, RunConfig(max_iters=200, grad_tol=1e-12))
@@ -218,7 +219,7 @@ def _rates_attainable(kind: str):
 
 
 def _rates_mixed():
-    inst = _require_regime("mixed-3x2", structure.MIXED)
+    inst, _ = _require_regime("mixed-3x2", structure.MIXED)
     loss = make_loss(LOGISTIC, inst.m)
     fbar = fixtures.reference_optimum("mixed-3x2", "logistic")
 

@@ -13,11 +13,17 @@ phi(alpha) = f(x + alpha * v) of a convex objective:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 WOLFE = "wolfe"
 CLOSED_FORM = "closed"
 EXACT = "exact"
+
+
+# Half-width of the roundoff band around phi(0), in units of eps * |phi(0)|;
+# see wolfe_search.
+ROUNDOFF_BAND = 64.0
 
 
 class NotDescentDirectionError(ValueError):
@@ -71,6 +77,26 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     is guaranteed in exact arithmetic, and the two budgets guard
     against floating-point stalls.
 
+    Near a minimizer the decrease (1) asks for can fall below the
+    roundoff of phi itself: then every midpoint fails (1), or passes it
+    by a rounding accident however far it overshoots.  So a midpoint
+    with phi(alpha) within ROUNDOFF_BAND * eps * |phi(0)| of phi(0),
+    where (1) cannot be resolved, is judged by phi' alone, on the
+    approximate Wolfe conditions of Hager & Zhang (2005):
+
+        c2 * phi'(0) <= phi'(alpha) <= (2 c1 - 1) * phi'(0),
+
+    which for a quadratic phi are (1) and (2); one that fails them
+    moves the end that phi' points away from.  The band's width: phi is
+    a sum of m loss terms, each correct to a few ulps, which numpy adds
+    pairwise with an error of order log2(m) ulps of the sum (under 40
+    for any m that fits in memory); and phi(0) is often passed in from
+    the iterate's margins A @ lam rather than computed from the ray's
+    base + alpha * col, which moves it by a few ulps more (1-2 on planted
+    50 x 20 instances).  A band of 64 eps |phi(0)| covers both.  A
+    search whose midpoints all change phi by more than the band takes
+    the same steps as without it.
+
     ``phi0``/``dphi0`` may pass along already-computed values of
     phi(0) and phi'(0).
     """
@@ -84,6 +110,7 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
         evals += 1
     if not dphi0 < 0.0:
         raise NotDescentDirectionError(f"phi'(0) = {dphi0!r} is not negative")
+    band = ROUNDOFF_BAND * sys.float_info.epsilon * abs(phi0)
 
     def decreased(alpha, value):
         return value <= phi0 + alpha * p.c1 * dphi0
@@ -105,7 +132,16 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     for _ in range(p.max_bisections):
         value = float(phi(alpha))
         evals += 1
-        if decreased(alpha, value):
+        if abs(value - phi0) <= band:
+            slope = float(dphi(alpha))
+            evals += 1
+            if p.c2 * dphi0 <= slope <= (2.0 * p.c1 - 1.0) * dphi0:
+                return StepResult(alpha, evals, WOLFE)
+            if slope < p.c2 * dphi0:
+                lo = alpha
+            else:
+                hi = alpha
+        elif decreased(alpha, value):
             slope = float(dphi(alpha))
             evals += 1
             if slope >= p.c2 * dphi0:

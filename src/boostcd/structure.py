@@ -131,6 +131,7 @@ def hard_core(inst: BoostInstance) -> list:
     """Hard core as sorted 1-based example ids."""
     return [i + 1 for i in _dual_core(inst)[0]]
 
+
 def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
     """Check witnesses against A on their own, for the 0-based core rows.
 
@@ -162,7 +163,6 @@ def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
             raise InvariantViolationError("dual witness fails A^T psi = 0")
         if np.any(core) and not float(np.min(psi[core])) > inst.m * eps * norm:
             raise InvariantViolationError("dual witness fails psi > 0 on the core")
-
 
 
 def _nonpositive_nonzero_ray(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
@@ -254,19 +254,48 @@ def gamma_classical(inst: BoostInstance) -> float:
     return float(out.value)
 
 
+def _pivoted_qr(a: np.ndarray, mode: str) -> Tuple[np.ndarray, int]:
+    """Q of a column-pivoted QR of A (Businger-Golub) and A's numerical rank.
+
+    The rank counts the |diag R| above KERNEL_RANK_TOL times the largest
+    column norm, so the first ``rank`` columns of Q span range(A) and the
+    rest of the full Q spans ker(A^T).  ``mode`` is scipy's: "full" for
+    the m x m Q, "economic" for the thin m x min(m, n) one; both come
+    from the same R, so they agree on the rank.
+    """
+    q, r, _ = scipy.linalg.qr(a, mode=mode, pivoting=True)
+    tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
+    return q, int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+
+
 def kernel_basis(inst: BoostInstance) -> np.ndarray:
     """Orthonormal basis (m x k) of ker(A^T), the span of the dual cone.
 
     Rank decisions come from a column-pivoted QR of A with tolerance
-    1e-10 times the largest column norm.
+    1e-10 times the largest column norm.  This forms the full m x m Q,
+    O(m^2 n) time and O(m^2) memory; :func:`dual_certificate` projects
+    through the thin factor instead.
     """
-    a = inst.a
-    q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
-    diag = np.abs(np.diag(r))
-    col_norm_max = float(np.max(np.linalg.norm(a, axis=0)))
-    tol = KERNEL_RANK_TOL * col_norm_max
-    rank = int(np.count_nonzero(diag > tol))
+    q, rank = _pivoted_qr(inst.a, "full")
     return q[:, rank:]
+
+
+def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
+
+    Q_r (m x rank) is the thin pivoted-QR factor spanning range(A), with
+    the rank decided as in :func:`kernel_basis`: O(m n^2) time and O(m n)
+    memory.  One re-projection keeps A^T of the result at roundoff.  An
+    empty kernel (rank == m) gives exact zeros.
+    """
+    m = a.shape[0]
+    q, rank = _pivoted_qr(a, "economic")
+    if rank == m:
+        return np.zeros(m)
+    q_r = q[:, :rank]
+    proj = w - q_r @ (q_r.T @ w)
+    proj -= q_r @ (q_r.T @ proj)
+    return proj
 
 
 @dataclass(frozen=True)
@@ -286,13 +315,13 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     projection is (numerically) in the dual cone and the conjugate's
     domain, certify the duality gap f(A lam) - inf f <= f(A lam) + f*(psi).
 
+    The projection goes through the thin factor of a column-pivoted QR
+    of A (no m x m Q is formed): O(m n^2) time and O(m n) memory.
     Projections with a coordinate below -1e-10 are rejected; tiny
     negatives are clipped to zero and the kernel residual re-checked.
     Returns None when no certificate can be extracted at this iterate.
     """
-    basis = kernel_basis(inst)
-    w = state.dual_weights
-    proj = basis @ (basis.T @ w)
+    proj = _kernel_projection(inst.a, state.dual_weights)
     if proj.size and float(np.min(proj)) < -1e-10:
         return None
     psi = np.maximum(proj, 0.0)

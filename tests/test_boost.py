@@ -228,3 +228,28 @@ def test_run_config_validation():
         RunConfig(grad_tol=-1.0)
     with pytest.raises(ValueError):
         RunConfig(max_iters=-1)
+
+
+def _planted_attainable(m, n, seed):
+    # rows orthogonal to a positive psi: psi > 0 is in ker(A^T), so the
+    # hard core is every row and the risk attains its minimum
+    rng = np.random.default_rng(seed)
+    psi = rng.uniform(0.1, 1.0, size=m)
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    a -= np.outer(psi, psi @ a) / (psi @ psi)
+    return make_instance(a / np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+def test_wolfe_runs_past_the_roundoff_floor_to_the_gradient_tolerance(kind):
+    # Near the optimum the decrease the Wolfe test asks for drops below
+    # the roundoff of the objective (about 1e-14 here, at gradients near
+    # 3e-7); the search must still find steps down to grad_tol 1e-10
+    # instead of exhausting its bisection budget.
+    inst = _planted_attainable(50, 20, 0)
+    loss = make_loss(kind, inst.m)
+    trace = run(inst, loss, RunConfig())
+    assert trace.status == boost.GRADIENT_BELOW_TOL
+    exact = run(inst, loss, RunConfig(line_search="exact"))
+    assert exact.status == boost.GRADIENT_BELOW_TOL
+    assert abs(trace.final_state.objective - exact.final_state.objective) <= 1e-12

@@ -156,3 +156,22 @@ def test_exact_search_tolerance_validation():
 def test_step_result_is_plain_data():
     res = StepResult(1.5, 7, "wolfe")
     assert (res.alpha, res.evals, res.mode) == (1.5, 7, "wolfe")
+
+
+def test_wolfe_judges_steps_inside_the_roundoff_band_by_the_derivative():
+    # phi(a) = 1000 + a (a - 2 a*) with a* = 2^-24: the whole decrease,
+    # a*^2 = 3.6e-15, is below an ulp of phi (1.1e-13), and phi(0) is
+    # handed in 2 ulps low, as when it comes from other margins.  Every
+    # midpoint then fails the decrease test by roundoff alone; judged by
+    # the derivative, a* itself is accepted.
+    a_star = 2.0 ** -24
+    phi = lambda a: 1000.0 + a * (a - 2.0 * a_star)
+    dphi = lambda a: 2.0 * (a - a_star)
+    phi0 = 1000.0 - 2.0 * math.ulp(1000.0)
+    res = wolfe_search(phi, dphi, phi0=phi0, dphi0=dphi(0.0))
+    assert res.alpha == a_star
+    # handed in exactly, phi(0) rounds equal to phi(4 a*), so the
+    # decrease test passes there by rounding although the step overshoots
+    # the minimizer fourfold; the derivative there, 3 |phi'(0)|, rejects it
+    res = wolfe_search(phi, dphi)
+    assert res.alpha == a_star

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.optimize import linprog
 import boostcd
 from boostcd import boost, fixtures, structure
 from boostcd.instance import make_instance
-from boostcd.losses import LOGISTIC, RiskFunction, make_loss
+from boostcd.losses import KINDS, LOGISTIC, RiskFunction, make_loss
 from boostcd.structure import (
     ATTAINABLE,
     MIXED,
@@ -194,6 +195,72 @@ def test_dual_certificate_unavailable_for_mixed_sign_kernel():
     inst = make_instance([[0.5], [1.0]])
     loss = make_loss(LOGISTIC, inst.m)
     assert dual_certificate(inst, loss, _state(inst, loss, [0.0])) is None
+
+
+def _projection_cases():
+    rng = np.random.default_rng(23)
+    yield fixtures.random_instance(rng, 60, 12)              # full rank, m > n
+    yield fixtures.random_instance(rng, 8, 20)               # m < n, rank == m
+    w = fixtures.random_instance(rng, 40, 9, "ternary").a
+    yield make_instance(np.hstack([w, w[:, :3], -w[:, 3:6]]))  # duplicated, negated
+    w = rng.uniform(-1.0, 1.0, size=(30, 4))
+    yield make_instance(np.hstack([w, w @ rng.uniform(-0.2, 0.2, size=(4, 6))]))  # rank 4 of 10
+    yield fixtures.single_good()                             # rank == m == 1
+
+
+def test_kernel_projection_matches_the_kernel_basis():
+    rng = np.random.default_rng(5)
+    ranks = set()
+    for inst in _projection_cases():
+        basis = kernel_basis(inst)
+        ranks.add(inst.m - basis.shape[1])
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, size=inst.m)
+            proj = structure._kernel_projection(inst.a, w)
+            if basis.shape[1] == 0:
+                assert np.array_equal(proj, np.zeros(inst.m))
+            else:
+                assert np.max(np.abs(proj - basis @ (basis.T @ w))) <= 1e-12
+                assert np.max(np.abs(inst.a.T @ proj)) <= 1e-13
+    assert ranks == {12, 8, 9, 4, 1}
+
+
+def _full_q_projection(a, w):
+    basis = kernel_basis(make_instance(a))
+    return basis @ (basis.T @ w)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_dual_certificate_agrees_with_the_full_q_reference(name, kind, monkeypatch):
+    inst = fixtures.FIXTURES[name]()
+    loss = make_loss(kind, inst.m)
+    states = [_state(inst, loss, np.zeros(inst.n)),
+              boost.run(inst, loss, boost.RunConfig(max_iters=150)).final_state]
+    for state in states:
+        cert = dual_certificate(inst, loss, state)
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_kernel_projection", _full_q_projection)
+            ref = dual_certificate(inst, loss, state)
+        assert (cert is None) == (ref is None)
+        if cert is not None:
+            assert np.max(np.abs(cert.psi - ref.psi)) <= 1e-12
+            assert abs(cert.gap_bound - ref.gap_bound) <= 1e-12
+
+
+def test_dual_certificate_never_forms_an_m_by_m_array():
+    # the full m x m Q of a 3000-row instance takes 72 MB; the thin
+    # pivoted-QR factor of a 3000 x 20 instance under half a megabyte
+    inst = fixtures.random_instance(np.random.default_rng(3), 3000, 20)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = _state(inst, loss, np.zeros(inst.n))
+    tracemalloc.start()
+    try:
+        dual_certificate(inst, loss, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8 / 4
 
 
 def test_report_json_shape():
