@@ -13,7 +13,8 @@ General form:  optimize c @ x subject to per-row senses
 (<=, ==, >=) and per-variable bounds [lo, hi] with +-inf allowed.
 Free and upper-bounded variables are substituted away so the working
 problem has only nonnegative variables; >= and == rows get artificial
-variables that phase 1 drives to zero.
+variables that phase 1 drives to zero.  At the optimal basis B the row
+multipliers solve B^T y = c_B and are mapped back to the original rows.
 """
 
 from __future__ import annotations
@@ -51,10 +52,16 @@ class LinearProgram:
 
 @dataclass
 class LpOutcome:
+    """Result of :func:`solve`.  At OPTIMAL, ``duals`` has one multiplier
+    per row of ``lhs``: the derivative of the optimal value with respect to
+    the row's rhs at the optimal basis, 0 for a row dropped as redundant;
+    variable bounds get none.  So a <= row's multiplier is >= 0 when
+    maximizing and <= 0 when minimizing, and a >= row's the reverse."""
+
     status: str
     x: Optional[np.ndarray] = None
     value: Optional[float] = None
-    reduced_cost_min: Optional[float] = None
+    duals: Optional[np.ndarray] = None
 
 
 def _pivot(T, b, basis, r, e):
@@ -90,16 +97,22 @@ def _simplex(T, b, basis, cost, enterable, pivot_tol, max_pivots, T0, b0,
     once cost @ u reaches ``floor``, a known lower bound (0 in phase 1).
     The tableau is refreshed from (T0, b0) every REFRESH_EVERY pivots and
     re-examined after a refresh before OPTIMAL or UNBOUNDED is returned.
-    Returns (status, reduced_costs)."""
+
+    Both the reduced-cost test and the ratio test's pivot cut are
+    ``pivot_tol`` times max(1, max |T|): once the tableau's entries have
+    grown, roundoff in a computed entry grows with them, and an entry that
+    is exactly 0 can come out far above an absolute cut; pivoting on it
+    makes the basis singular.  Returns the status."""
     stale = 0
     for _ in range(max_pivots):
+        tol = pivot_tol * float(np.max(np.abs(T), initial=1.0))
         cbar = cost - cost[basis] @ T if len(basis) else cost.copy()
-        eligible = np.flatnonzero(enterable & (cbar < -pivot_tol))
+        eligible = np.flatnonzero(enterable & (cbar < -tol))
         status = OPTIMAL
         if eligible.size and float(cost[basis] @ b) > floor:
             e = int(eligible[0])
             colv = T[:, e]
-            pos = colv > pivot_tol
+            pos = colv > tol
             if np.any(pos):
                 ratios = np.full(len(b), np.inf)
                 ratios[pos] = b[pos] / colv[pos]
@@ -114,7 +127,7 @@ def _simplex(T, b, basis, cost, enterable, pivot_tol, max_pivots, T0, b0,
                 continue
             status = UNBOUNDED
         if not stale:
-            return status, cbar
+            return status
         _refresh(T, b, basis, T0, b0)
         stale = 0
     raise RuntimeError("simplex pivot budget exceeded")
@@ -217,11 +230,12 @@ def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL,
     enterable[art_cols] = False  # artificials start basic and never re-enter
 
     T0, b0 = T.copy(), b.copy()
+    rows = np.arange(M)  # working rows of T0 in the rows of A
     if art_cols:
         cost1 = np.zeros(N)
         cost1[art_cols] = 1.0
-        status, _ = _simplex(T, b, basis, cost1, enterable, pivot_tol, max_pivots, T0, b0,
-                             floor=0.0)
+        status = _simplex(T, b, basis, cost1, enterable, pivot_tol, max_pivots, T0, b0,
+                          floor=0.0)
         if status != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded")
         if float(cost1[basis] @ b) > feas_tol:
@@ -243,12 +257,12 @@ def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL,
                 keep_tab[r] = False
                 keep_orig[art_row[basis[r]]] = False
         T, b, basis = T[keep_tab, :N], b[keep_tab], basis[keep_tab]
-        T0, b0 = T0[keep_orig, :N], b0[keep_orig]
+        T0, b0, rows = T0[keep_orig, :N], b0[keep_orig], rows[keep_orig]
         enterable = enterable[:N]
         _refresh(T, b, basis, T0, b0)
 
     cost2 = np.concatenate([cu, np.zeros(N - ncols)])
-    status, cbar = _simplex(T, b, basis, cost2, enterable, pivot_tol, max_pivots, T0, b0)
+    status = _simplex(T, b, basis, cost2, enterable, pivot_tol, max_pivots, T0, b0)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
     u = np.zeros(N)
@@ -256,10 +270,13 @@ def solve(lp: LinearProgram, feas_tol: float = FEAS_TOL,
     x = shift.copy()
     for k, (v, s) in enumerate(cols):
         x[v] += s * u[k]
-    nonbasic = np.ones(N, dtype=bool)
-    nonbasic[basis] = False
-    rc_min = float(cbar[nonbasic].min()) if np.any(nonbasic) else 0.0
-    return LpOutcome(OPTIMAL, x, float(c0 @ x), rc_min)
+    # simplex multipliers of the working rows at the optimal basis, mapped
+    # back to the rows of lhs: undo the flips and the minimize sign
+    y = np.zeros(M)
+    y[rows] = np.linalg.solve(T0[:, basis].T, cost2[basis])
+    y[flip] *= -1.0
+    duals = -y[:nrow] if lp.maximize else y[:nrow]
+    return LpOutcome(OPTIMAL, x, float(c0 @ x), duals)
 
 
 def residuals(lp: LinearProgram, x) -> float:

@@ -15,11 +15,11 @@ core), and determines which convergence regime coordinate descent is in:
                          off-core rows and null on the core (Motzkin).
 
 The hard core comes from one LP (Goldman-Tucker strict complementarity:
-the cone has a vector positive on its whole support), which also yields
-the dual witness.  :func:`analyze` solves at most three small dense LPs
-with :mod:`boostcd.lp`: the core LP, then for a weakly learnable instance
-the halfspace and gamma LPs, and for a mixed one the Motzkin witness LP.
-Strict inequalities are compiled to margin-1 form, which the cone's scale
+the cone has a vector positive on its whole support).  Its solution is
+the dual witness and its row multipliers are the primal one, so
+:func:`analyze` solves that LP with :mod:`boostcd.lp` and, for a weakly
+learnable instance only, one more for the rate gamma.  Strict
+inequalities are compiled to margin-1 form, which the cone's scale
 invariance makes equivalent.  The LP solver is not trusted on its own:
 every witness a report carries is checked against A by
 :func:`verify_witness`, and a failed check raises.
@@ -60,6 +60,9 @@ def weak_learnable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
     """Is there lam with A @ lam < 0 (every example strictly beaten)?
 
     Compiled to the feasibility LP {A @ lam <= -1}; returns the witness.
+    This is the direct test of Gordan's alternative, kept as the reference
+    that the hard core is checked against; :func:`analyze` takes its
+    witness from the core LP's multipliers instead.
     """
     m, n = inst.m, inst.n
     lp = LinearProgram(
@@ -102,8 +105,9 @@ def attainable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
     return False, None
 
 
-def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray]:
-    """0-based hard core and a dual cone vector positive on it, from one LP:
+def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
+    """0-based hard core, a dual cone vector positive on it, and a primal
+    witness, all from one LP:
 
         max 1^T t  s.t.  A^T (t + s) = 0,  0 <= t <= 1,  s >= 0.
 
@@ -112,6 +116,14 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray]:
     scaled to be >= 1 there it makes t = 1 on the core feasible.  So the
     optimal t is the core's 0/1 indicator, and psi = t + s restricted to
     the core is positive on it (>= 1) and zero elsewhere.
+
+    The LP's dual is  min 1^T u  s.t.  A y + u >= 1,  A y >= 0,  u >= 0,
+    with y the multipliers of the equality rows.  Every feasible y has
+    A_core y = 0, since psi^T A y = 0 with psi > 0 on the core and A y >= 0.
+    Then u_core >= 1, so the optimum 1^T u = |core| forces u_off = 0, and
+    A_off y >= 1.  The optimal multipliers therefore give lam = -y with
+    A_off @ lam <= -1 and A_core @ lam = 0: the Gordan witness when the
+    core is empty, the Motzkin one when it is proper.
     """
     m, n = inst.m, inst.n
     obj = np.concatenate([np.ones(m), np.zeros(m)])
@@ -124,7 +136,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray]:
     core0 = [int(i) for i in np.flatnonzero(t > 0.5)]
     psi = np.zeros(m)
     psi[core0] = t[core0] + s[core0]
-    return core0, psi
+    return core0, psi, -out.duals
 
 
 def hard_core(inst: BoostInstance) -> list:
@@ -201,28 +213,18 @@ class Decomposition:
 
 
 def decompose(inst: BoostInstance) -> Decomposition:
-    """Split the instance into its off-core and core row blocks and verify
-    the blocks have the certified structure: the off-core block has an
-    empty hard core (so it is weakly learnable) and the core block is
-    attainable.  Failure of either check raises InvariantViolationError."""
-    core0 = _dual_core(inst)[0]
-    core_set = set(core0)
-    off0 = [i for i in range(inst.m) if i not in core_set]
-    off_inst = inst.row_subset(off0) if off0 else None
-    core_inst = inst.row_subset(core0) if core0 else None
-    if off_inst is not None:
-        stray = _dual_core(off_inst)[0]
-        if stray:
-            raise InvariantViolationError(
-                f"off-core block has nonempty hard core (sub-rows {stray})"
-            )
-    if core_inst is not None and len(_dual_core(core_inst)[0]) != core_inst.m:
-        raise InvariantViolationError("core block is not attainable")
+    """Split the instance into its off-core and core row blocks, certified
+    by the analysis's verified witnesses from the one core LP: lam with
+    A_off @ lam < 0 shows the off-core block has an empty hard core
+    (Gordan), so it is weakly learnable, and psi > 0 on the core with
+    A_core^T psi_core = 0 shows the core block is attainable (Stiemke).
+    A witness that fails to verify raises InvariantViolationError."""
+    core0, off0, _, _ = _certified_split(inst)
     return Decomposition(
         tuple(i + 1 for i in off0),
         tuple(i + 1 for i in core0),
-        off_inst,
-        core_inst,
+        inst.row_subset(off0) if off0 else None,
+        inst.row_subset(core0) if core0 else None,
     )
 
 
@@ -361,59 +363,34 @@ class StructureReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _mixed_halfspace_witness(inst: BoostInstance, off0, core0) -> Optional[np.ndarray]:
-    """lam with A_off @ lam < 0 and A_core @ lam = 0 (Motzkin witness).
-
-    lam = N @ mu, where the orthonormal columns of N span ker(A_core)
-    (from an SVD, rank tolerance KERNEL_RANK_TOL times the largest
-    singular value) and mu is a strict halfspace witness for the rows of
-    A_off @ N, scaled into [-1, 1].  The core equalities hold by
-    construction, so the LP has only inequality rows.
-    """
-    _, sing, vt = np.linalg.svd(inst.a[core0], full_matrices=True)
-    rank = int(np.count_nonzero(sing > KERNEL_RANK_TOL * sing[0]))
-    basis = vt[rank:].T
-    reduced = inst.a[off0] @ basis
-    top = float(np.max(np.abs(reduced))) if reduced.size else 0.0
-    if top == 0.0:
-        return None
-    ok, mu = weak_learnable(BoostInstance(reduced / top))
-    return basis @ mu if ok else None
+def _certified_split(inst: BoostInstance):
+    """0-based core and off-core rows with their witnesses from the core
+    LP: lam when some row is off the core, psi when the core is nonempty.
+    Both are checked by :func:`verify_witness`, which raises
+    InvariantViolationError if either fails."""
+    core0, psi, lam = _dual_core(inst)
+    core_set = set(core0)
+    off0 = [i for i in range(inst.m) if i not in core_set]
+    lam = lam if off0 else None
+    psi = psi if core0 else None
+    verify_witness(inst, core0, lam=lam, psi=psi)
+    return core0, off0, lam, psi
 
 
 def analyze(inst: BoostInstance) -> StructureReport:
     """Full structural report: regime, hard core, row split, classical
     weak learning rate, and primal/dual witnesses.
 
-    The core LP fixes the regime and gives the dual witness.  Then a
-    weakly learnable instance gets its halfspace witness and its rate
-    from two more LPs, a mixed one its Motzkin witness from one more, and
-    an attainable one none.  Off the weakly learnable regime gamma is
-    exactly 0, attained by the normalized dual witness.  Every witness is
-    checked by :func:`verify_witness`; a missing or failed one raises
+    One LP (:func:`_dual_core`) fixes the regime and gives both witnesses:
+    the primal one from its multipliers and the dual one from its solution.
+    A weakly learnable instance solves one more LP for gamma; off that
+    regime gamma is exactly 0, attained by the normalized dual witness.
+    So a weakly learnable analysis solves 2 LPs and any other 1.  Every
+    witness is checked by :func:`verify_witness`; a failed one raises
     InvariantViolationError."""
-    core0, psi = _dual_core(inst)
-    core_set = set(core0)
-    off0 = [i for i in range(inst.m) if i not in core_set]
-    witness_primal = witness_dual = None
-    gamma = 0.0
-    if not core0:
-        regime = WEAK_LEARNABLE
-        ok, witness_primal = weak_learnable(inst)
-        if not ok:
-            raise InvariantViolationError(
-                "empty hard core but no strict halfspace witness"
-            )
-        gamma = gamma_classical(inst)
-    else:
-        regime = ATTAINABLE if len(core0) == inst.m else MIXED
-        witness_dual = psi
-        if regime == MIXED:
-            witness_primal = _mixed_halfspace_witness(inst, off0, core0)
-            if witness_primal is None:
-                raise InvariantViolationError("mixed regime but no Motzkin witness")
-    verify_witness(inst, core0, lam=witness_primal, psi=witness_dual)
-
+    core0, off0, lam, psi = _certified_split(inst)
+    regime = WEAK_LEARNABLE if not core0 else ATTAINABLE if not off0 else MIXED
+    gamma = gamma_classical(inst) if regime == WEAK_LEARNABLE else 0.0
     return StructureReport(
         m=inst.m,
         n=inst.n,
@@ -422,6 +399,6 @@ def analyze(inst: BoostInstance) -> StructureReport:
         rows_off_core=tuple(i + 1 for i in off0),
         rows_core=tuple(i + 1 for i in core0),
         gamma_classical=gamma,
-        witness_primal=None if witness_primal is None else tuple(float(v) for v in witness_primal),
-        witness_dual=None if witness_dual is None else tuple(float(v) for v in witness_dual),
+        witness_primal=None if lam is None else tuple(float(v) for v in lam),
+        witness_dual=None if psi is None else tuple(float(v) for v in psi),
     )

@@ -65,6 +65,11 @@ def test_redundant_equality_rows_are_dropped():
     assert out.status == OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-12)
     assert residuals(lp, out.x) <= 1e-12
+    # min c@x, x >= 0: the <= rows take duals <= 0, lhs^T y <= c, b@y = value
+    y = out.duals
+    assert y.shape == (4,) and np.all(y[:2] <= 1e-12)
+    assert np.all(np.asarray(lp.lhs).T @ y <= np.asarray(lp.objective) + 1e-12)
+    assert np.asarray(lp.rhs) @ y == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ge_rows():
@@ -158,7 +163,10 @@ def test_random_lps_against_highs_and_duals():
             assert ref.status == 0
             assert abs(mine.value - (-ref.fun)) <= 1e-6 * scale
             assert residuals(primal, mine.x) <= 1e-8
-            assert mine.reduced_cost_min >= -1e-9
+            y = mine.duals
+            assert y.shape == (m,) and np.all(y >= -1e-9)
+            assert np.all(a.T @ y >= c - 1e-9)
+            assert abs(b @ y - mine.value) <= 1e-6 * scale
             dual = solve(LinearProgram(b, a.T, [GE] * n, c))
             assert dual.status == OPTIMAL
             assert abs(dual.value - mine.value) <= 1e-6 * scale
