@@ -15,14 +15,19 @@ core), and determines which convergence regime coordinate descent is in:
                          off-core rows and null on the core (Motzkin).
 
 The hard core comes from one LP (Goldman-Tucker strict complementarity:
-the cone has a vector positive on its whole support).  Its solution is
-the dual witness and its row multipliers are the primal one, so
-:func:`analyze` solves that LP with :mod:`boostcd.lp` and, for a weakly
+the cone has a vector positive on its whole support), solved by the
+interior-point method of :mod:`boostcd.lp`, whose limit is strictly
+complementary, so the core is read off its solution with no crossover.
+That solution is the dual witness and its row multipliers give the
+primal one, so :func:`analyze` solves that LP and, for a weakly
 learnable instance only, one more for the rate gamma.  Strict
 inequalities are compiled to margin-1 form, which the cone's scale
 invariance makes equivalent.  The LP solver is not trusted on its own:
 every witness a report carries is checked against A by
-:func:`verify_witness`, and a failed check raises.
+:func:`verify_witness`, and a failed check raises.  The direct tests of
+Gordan's and Stiemke's alternatives (:func:`weak_learnable`,
+:func:`attainable`) are references for tests and run on HiGHS, an
+independent solver; they import ``scipy.optimize`` only when called.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import scipy.linalg
 from .boost import IterateState
 from .instance import BoostInstance
 from .losses import LossSpec, RiskFunction
-from .lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve
+from .lp import solve
 
 FEAS_TOL = 1e-8
 KERNEL_RANK_TOL = 1e-10
@@ -59,84 +64,93 @@ class InvariantViolationError(RuntimeError):
 def weak_learnable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
     """Is there lam with A @ lam < 0 (every example strictly beaten)?
 
-    Compiled to the feasibility LP {A @ lam <= -1}; returns the witness.
-    This is the direct test of Gordan's alternative, kept as the reference
-    that the hard core is checked against; :func:`analyze` takes its
-    witness from the core LP's multipliers instead.
+    The direct test of Gordan's alternative, solved by HiGHS as the
+    feasibility LP {A @ lam <= -1}; returns the witness.  It is the
+    reference the hard core is checked against, on a solver independent
+    of :func:`analyze`'s, which takes its witness from the core LP.
     """
-    m, n = inst.m, inst.n
-    lp = LinearProgram(
-        objective=np.zeros(n),
-        lhs=inst.a,
-        senses=[LE] * m,
-        rhs=-np.ones(m),
-        bounds=[(-math.inf, math.inf)] * n,
-    )
-    out = solve(lp)
-    if out.status == OPTIMAL:
+    from scipy.optimize import linprog
+
+    out = linprog(np.zeros(inst.n), A_ub=inst.a, b_ub=-np.ones(inst.m),
+                  bounds=(None, None), method="highs")
+    if out.status == 0:
         return True, out.x
-    if out.status == INFEASIBLE:
+    if out.status == 2:
         return False, None
-    raise RuntimeError(f"unexpected LP status {out.status} in weak_learnable")
+    raise RuntimeError(f"unexpected HiGHS status {out.status} in weak_learnable")
 
 
 def attainable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
     """Is there a strictly positive dual vector (psi > 0, A^T psi = 0)?
 
-    Solved as max tau s.t. A^T psi = 0, psi >= tau * 1, 0 <= psi <= 1,
-    which is scale-free; attainable iff the optimum exceeds tolerance.
+    The direct test of Stiemke's alternative, solved by HiGHS as
+    max tau s.t. A^T psi = 0, psi >= tau * 1, 0 <= psi <= 1, which is
+    scale-free; attainable iff the optimum exceeds tolerance.
     """
+    from scipy.optimize import linprog
+
     m, n = inst.m, inst.n
     # variables: psi_1..psi_m, tau
     obj = np.zeros(m + 1)
-    obj[m] = 1.0
-    lhs = np.zeros((n + m, m + 1))
-    lhs[:n, :m] = inst.a.T
-    lhs[n:, :m] = np.eye(m)
-    lhs[n:, m] = -1.0
-    senses = [EQ] * n + [GE] * m
-    rhs = np.zeros(n + m)
-    bounds = [(0.0, 1.0)] * (m + 1)
-    out = solve(LinearProgram(obj, lhs, senses, rhs, bounds, maximize=True))
-    if out.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {out.status} in attainable")
-    if out.value > FEAS_TOL:
+    obj[m] = -1.0
+    out = linprog(obj, A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]), b_ub=np.zeros(m),
+                  A_eq=np.hstack([inst.a.T, np.zeros((n, 1))]), b_eq=np.zeros(n),
+                  bounds=(0.0, 1.0), method="highs")
+    if out.status != 0:
+        raise RuntimeError(f"unexpected HiGHS status {out.status} in attainable")
+    if -out.fun > FEAS_TOL:
         return True, out.x[:m]
     return False, None
 
 
 def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     """0-based hard core, a dual cone vector positive on it, and a primal
-    witness, all from one LP:
+    witness, all from one LP solved by :func:`boostcd.lp.solve`:
 
-        max 1^T t  s.t.  A^T (t + s) = 0,  0 <= t <= 1,  s >= 0.
+        min -1^T t  s.t.  Q_r^T (t + s) = 0,  0 <= t <= 1,  s >= 0,
 
-    Every feasible t + s is in the dual cone, so t vanishes off the core.
-    By Goldman-Tucker some cone vector is positive on the whole core;
-    scaled to be >= 1 there it makes t = 1 on the core feasible.  So the
-    optimal t is the core's 0/1 indicator, and psi = t + s restricted to
-    the core is positive on it (>= 1) and zero elsewhere.
+    where Q_r is the thin pivoted-QR basis of range(A) (:func:`_pivoted_qr`).
+    Since ker(Q_r^T) = ker(A^T), this is the LP over A^T (t + s) = 0, but
+    its rows are independent however A's columns repeat, as the
+    interior-point method needs.  Every feasible t + s is in the dual
+    cone, so t vanishes off the core; by Goldman-Tucker some cone vector
+    is positive on the whole core, and scaled up it makes t = 1 on the
+    core feasible.  So every optimal t is the core's 0/1 indicator.
 
-    The LP's dual is  min 1^T u  s.t.  A y + u >= 1,  A y >= 0,  u >= 0,
-    with y the multipliers of the equality rows.  Every feasible y has
-    A_core y = 0, since psi^T A y = 0 with psi > 0 on the core and A y >= 0.
-    Then u_core >= 1, so the optimum 1^T u = |core| forces u_off = 0, and
-    A_off y >= 1.  The optimal multipliers therefore give lam = -y with
-    A_off @ lam <= -1 and A_core @ lam = 0: the Gordan witness when the
-    core is empty, the Motzkin one when it is proper.
+    The optimal multipliers y satisfy Q_r y + z_s = 0 and
+    Q_r y + z_t - v = -1 with z_s, z_t, v >= 0 complementary to s, t and
+    1 - t.  The solver ends at a strictly complementary solution
+    (s > 0 on the core), so Q_r y is 0 on the core and <= -1 off it, and
+    lam solving A lam = Q_r y is the Gordan witness when the core is
+    empty and the Motzkin one when it is proper.  The core is read as
+    t > 1/2; psi is t + s on it, and both witnesses are purified by
+    projection: psi onto ker(A_core^T), lam onto ker(A_core).
+
+    A zero row of A is in the core (psi = e_i) and would give s_i an
+    unbounded ray, so zero rows are set aside before the solve.
     """
-    m, n = inst.m, inst.n
-    obj = np.concatenate([np.ones(m), np.zeros(m)])
-    lhs = np.hstack([inst.a.T, inst.a.T])
-    bounds = [(0.0, 1.0)] * m + [(0.0, math.inf)] * m
-    out = solve(LinearProgram(obj, lhs, [EQ] * n, np.zeros(n), bounds, maximize=True))
-    if out.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {out.status} in hard_core")
-    t, s = out.x[:m], out.x[m:]
-    core0 = [int(i) for i in np.flatnonzero(t > 0.5)]
-    psi = np.zeros(m)
-    psi[core0] = t[core0] + s[core0]
-    return core0, psi, -out.duals
+    a = inst.a
+    nz = np.flatnonzero(np.any(a != 0.0, axis=1))
+    core = np.ones(inst.m, dtype=bool)
+    core[nz] = False
+    psi = core.astype(float)
+    lam = np.zeros(inst.n)
+    if nz.size:
+        b = a[nz]
+        k = nz.size
+        q, rank = _pivoted_qr(b, "economic")
+        q_r = q[:, :rank]
+        x, y = solve(np.hstack([q_r.T, q_r.T]), np.zeros(rank),
+                     np.concatenate([-np.ones(k), np.zeros(k)]),
+                     np.concatenate([np.ones(k), np.full(k, np.inf)]))
+        in_core = x[:k] > 0.5
+        core[nz[in_core]] = True
+        lam = np.linalg.lstsq(b, q_r @ y, rcond=None)[0]
+        if np.any(in_core):
+            b_core = b[in_core]
+            psi[nz[in_core]] = _kernel_projection(b_core, (x[:k] + x[k:])[in_core])
+            lam = _kernel_projection(b_core.T, lam)
+    return [int(i) for i in np.flatnonzero(core)], psi, lam
 
 
 def hard_core(inst: BoostInstance) -> list:
@@ -181,23 +195,17 @@ def _nonpositive_nonzero_ray(inst: BoostInstance) -> Tuple[bool, Optional[np.nda
     """Is there lam with A @ lam <= 0 and A @ lam != 0?
 
     This is the primal side of Stiemke's alternative (its failure for all
-    lam is equivalent to attainability).  Solved on a unit box so the LP
-    stays bounded: max sum(-A @ lam) s.t. A @ lam <= 0, -1 <= lam <= 1.
+    lam is equivalent to attainability), kept as a reference like
+    :func:`attainable`.  Solved by HiGHS on a unit box so the LP stays
+    bounded: max sum(-A @ lam) s.t. A @ lam <= 0, -1 <= lam <= 1.
     """
-    m, n = inst.m, inst.n
-    obj = -np.sum(inst.a, axis=0)
-    lp = LinearProgram(
-        objective=obj,
-        lhs=inst.a,
-        senses=[LE] * m,
-        rhs=np.zeros(m),
-        bounds=[(-1.0, 1.0)] * n,
-        maximize=True,
-    )
-    out = solve(lp)
-    if out.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {out.status} in ray search")
-    if out.value > FEAS_TOL:
+    from scipy.optimize import linprog
+
+    out = linprog(np.sum(inst.a, axis=0), A_ub=inst.a, b_ub=np.zeros(inst.m),
+                  bounds=(-1.0, 1.0), method="highs")
+    if out.status != 0:
+        raise RuntimeError(f"unexpected HiGHS status {out.status} in ray search")
+    if -out.fun > FEAS_TOL:
         return True, out.x
     return False, None
 
@@ -234,26 +242,36 @@ def gamma_classical(inst: BoostInstance) -> float:
     gamma = min over probability weightings phi of max_j |(A^T phi)_j|:
     the edge the best weak learner is guaranteed against any example
     weighting.  Positive exactly when the instance is weakly learnable.
-    LP: min t s.t. -t <= (A^T phi)_j <= t, phi >= 0, sum phi = 1.
+    LP: min t s.t. (A^T phi)_j + s1_j = t, -(A^T phi)_j + s2_j = t,
+    sum phi = 1, with phi, t, s1, s2 >= 0, solved by
+    :func:`boostcd.lp.solve`.
+
+    Both of its sides are read.  The multipliers y1, y2 of the first two
+    row blocks give lam = y1 - y2 with A @ lam <= -gamma (the LP's dual),
+    a Gordan witness whenever gamma > 0.  If it checks out, A @ lam < 0,
+    the rate is the edge of the primal phi, max_j |(A^T phi)_j| / sum(phi),
+    its value at a feasible point (phi > 0, as the iterates are interior).
+    Otherwise the instance has no such lam as far as the solve can tell,
+    and gamma is exactly 0.0; by Gordan's alternative a witness that
+    checks out never exists on an instance that is not weakly learnable.
     """
     m, n = inst.m, inst.n
-    # variables: phi_1..phi_m, t
-    obj = np.zeros(m + 1)
-    obj[m] = 1.0
-    lhs = np.zeros((2 * n + 1, m + 1))
-    lhs[:n, :m] = inst.a.T
-    lhs[:n, m] = -1.0
-    lhs[n:2 * n, :m] = -inst.a.T
-    lhs[n:2 * n, m] = -1.0
-    lhs[2 * n, :m] = 1.0
-    senses = [LE] * (2 * n) + [EQ]
-    rhs = np.zeros(2 * n + 1)
-    rhs[2 * n] = 1.0
-    bounds = [(0.0, math.inf)] * m + [(0.0, math.inf)]
-    out = solve(LinearProgram(obj, lhs, senses, rhs, bounds))
-    if out.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {out.status} in gamma_classical")
-    return float(out.value)
+    # variables: phi_1..phi_m, t, s1_1..s1_n, s2_1..s2_n
+    g = np.zeros((2 * n + 1, m + 1 + 2 * n))
+    g[:n, :m] = inst.a.T
+    g[n:2 * n, :m] = -inst.a.T
+    g[:2 * n, m] = -1.0
+    g[:2 * n, m + 1:] = np.eye(2 * n)
+    g[2 * n, :m] = 1.0
+    h = np.zeros(2 * n + 1)
+    h[2 * n] = 1.0
+    c = np.zeros(m + 1 + 2 * n)
+    c[m] = 1.0
+    x, y = solve(g, h, c, np.full(c.size, np.inf))
+    phi = x[:m]
+    if not float(np.max(inst.a @ (y[:n] - y[n:2 * n]))) < 0.0:
+        return 0.0
+    return float(np.max(np.abs(inst.a.T @ phi)) / np.sum(phi))
 
 
 def _pivoted_qr(a: np.ndarray, mode: str) -> Tuple[np.ndarray, int]:

@@ -1,214 +1,125 @@
-"""Dense simplex solver: textbook cases, degeneracy, and random
-cross-checks against scipy's HiGHS backend."""
-
-import math
+"""Interior-point solver: textbook and degenerate cases, the strictly
+complementary limit, the failure mode, and random cross-checks against
+scipy's HiGHS backend."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from boostcd import fixtures
-from boostcd.lp import (
-    EQ,
-    GE,
-    INFEASIBLE,
-    LE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LpOutcome,
-    residuals,
-    solve,
-)
+from boostcd import lp
+from boostcd.lp import NotConvergedError, solve
+
+INF = np.inf
+
+
+def _solve(g, h, c, upper):
+    return solve(*(np.array(a, dtype=float) for a in (g, h, c, upper)))
 
 
 def test_single_variable_box():
-    out = solve(LinearProgram([1.0], [[1.0]], [LE], [3.0], maximize=True))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(3.0, abs=1e-12)
-    assert out.x[0] == pytest.approx(3.0, abs=1e-12)
+    # max x s.t. x + s = 3
+    x, _ = _solve([[1.0, 1.0]], [3.0], [-1.0, 0.0], [INF, INF])
+    assert x[0] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_default_bounds_are_nonnegative():
-    # min x with no explicit bounds: x >= 0 binds at 0
-    out = solve(LinearProgram([1.0], [[1.0]], [LE], [3.0]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_infeasible():
-    out = solve(LinearProgram([0.0], [[1.0]], [LE], [-1.0]))
-    assert out.status == INFEASIBLE
-    assert out.x is None
-
-
-def test_unbounded_free_variables():
-    lp = LinearProgram([1.0, 1.0], np.zeros((0, 2)), [], [],
-                       bounds=[(-math.inf, math.inf)] * 2, maximize=True)
-    assert solve(lp).status == UNBOUNDED
-
-
-def test_equality_rows_via_artificials():
-    # min x1 + 2 x2 s.t. x1 + x2 = 1
-    out = solve(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [EQ], [1.0]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-12)
-
-
-def test_redundant_equality_rows_are_dropped():
-    # the last row is twice the third; after phase 1 one of their
-    # artificials cannot leave the basis, and its own row must go with it
-    lp = LinearProgram([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
-                       [LE, LE, EQ, EQ], [5.0, 5.0, 1.0, 2.0])
-    out = solve(lp)
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(1.0, abs=1e-12)
-    assert residuals(lp, out.x) <= 1e-12
-    # min c@x, x >= 0: the <= rows take duals <= 0, lhs^T y <= c, b@y = value
-    y = out.duals
-    assert y.shape == (4,) and np.all(y[:2] <= 1e-12)
-    assert np.all(np.asarray(lp.lhs).T @ y <= np.asarray(lp.objective) + 1e-12)
-    assert np.asarray(lp.rhs) @ y == pytest.approx(1.0, abs=1e-12)
+    # min x with x + s = 3: the bound x >= 0 binds at 0
+    x, _ = _solve([[1.0, 1.0]], [3.0], [1.0, 0.0], [INF, INF])
+    assert 0.0 < x[0] <= 1e-8
 
 
 def test_ge_rows():
-    # min x s.t. x >= 2.5
-    out = solve(LinearProgram([1.0], [[1.0]], [GE], [2.5]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(2.5, abs=1e-12)
-
-
-def test_bound_substitutions():
-    # free variable
-    out = solve(LinearProgram([1.0], [[1.0]], [GE], [-5.0],
-                              bounds=[(-math.inf, math.inf)]))
-    assert out.value == pytest.approx(-5.0, abs=1e-12)
-    # shifted lower bound
-    out = solve(LinearProgram([1.0], np.zeros((0, 1)), [], [],
-                              bounds=[(-2.0, 7.0)]))
-    assert out.value == pytest.approx(-2.0, abs=1e-12)
-    # upper bound only
-    out = solve(LinearProgram([1.0], np.zeros((0, 1)), [], [],
-                              bounds=[(-math.inf, 2.0)], maximize=True))
-    assert out.value == pytest.approx(2.0, abs=1e-12)
-    # crossed bounds are infeasible, not an error
-    assert solve(LinearProgram([1.0], np.zeros((0, 1)), [], [],
-                               bounds=[(1.0, 0.0)])).status == INFEASIBLE
-
-
-def test_negative_rhs_rows_are_normalized():
-    # -x <= -2  (i.e. x >= 2), optimum at 2
-    out = solve(LinearProgram([1.0], [[-1.0]], [LE], [-2.0]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_beale_degenerate_cycling_example():
-    # the classic tableau on which greedy pivoting cycles; Bland's rule
-    # must terminate at -1/20
-    c = [-0.75, 150.0, -0.02, 6.0]
-    a = [[0.25, -60.0, -0.04, 9.0],
-         [0.5, -90.0, -0.02, 3.0],
-         [0.0, 0.0, 1.0, 0.0]]
-    out = solve(LinearProgram(c, a, [LE, LE, LE], [0.0, 0.0, 1.0]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(-0.05, abs=1e-12)
-    np.testing.assert_allclose(out.x, [0.04, 0.0, 1.0, 0.0], atol=1e-10)
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        solve(LinearProgram([1.0], [[1.0, 2.0]], [LE], [1.0]))
-    with pytest.raises(ValueError):
-        solve(LinearProgram([1.0], [[1.0]], ["<"], [1.0]))
-    with pytest.raises(ValueError):
-        solve(LinearProgram([math.inf], [[1.0]], [LE], [1.0]))
-    with pytest.raises(ValueError):
-        solve(LinearProgram([1.0], [[1.0]], [LE], [1.0], bounds=[(0.0, 1.0)] * 2))
-    with pytest.raises(ValueError):
-        solve(LinearProgram([1.0], [[1.0]], [LE, LE], [1.0]))
-
-
-def test_residuals_helper():
-    lp = LinearProgram([0.0, 0.0], [[1.0, 1.0]], [LE], [1.0])
-    assert residuals(lp, [0.25, 0.25]) == 0.0
-    assert residuals(lp, [1.0, 1.0]) == pytest.approx(1.0)
-    assert residuals(lp, [-0.5, 0.0]) == pytest.approx(0.5)  # bound violation
-
-
-def test_random_lps_against_highs_and_duals():
-    # max c@x s.t. Ax <= b, x >= 0 with b > 0, so x = 0 is feasible and
-    # the LP is optimal or unbounded.  Optimal cases must agree with
-    # HiGHS and with our own solve of the dual min b@y, A^T y >= c,
-    # y >= 0 (strong duality); claimed-unbounded cases are certified by
-    # growth under an enlarging box (HiGHS itself sometimes labels
-    # these "infeasible" in presolve, so its status is not the oracle).
-    rng = np.random.default_rng(7)
-    n_opt = n_unb = 0
-    for _ in range(200):
-        m = int(rng.integers(1, 6))
-        n = int(rng.integers(1, 6))
-        a = rng.uniform(-2.0, 2.0, size=(m, n))
-        b = rng.uniform(0.5, 3.0, size=m)
-        c = rng.uniform(-2.0, 2.0, size=n)
-        primal = LinearProgram(c, a, [LE] * m, b, maximize=True)
-        mine = solve(primal)
-        assert mine.status != INFEASIBLE
-        if mine.status == OPTIMAL:
-            n_opt += 1
-            scale = 1.0 + abs(mine.value)
-            ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n,
-                          method="highs")
-            assert ref.status == 0
-            assert abs(mine.value - (-ref.fun)) <= 1e-6 * scale
-            assert residuals(primal, mine.x) <= 1e-8
-            y = mine.duals
-            assert y.shape == (m,) and np.all(y >= -1e-9)
-            assert np.all(a.T @ y >= c - 1e-9)
-            assert abs(b @ y - mine.value) <= 1e-6 * scale
-            dual = solve(LinearProgram(b, a.T, [GE] * n, c))
-            assert dual.status == OPTIMAL
-            assert abs(dual.value - mine.value) <= 1e-6 * scale
-            assert residuals(LinearProgram(b, a.T, [GE] * n, c), dual.x) <= 1e-8
-        else:
-            n_unb += 1
-            boxed = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, 1e9)] * n,
-                            method="highs")
-            assert boxed.status == 0 and -boxed.fun >= 1e5
-    # the draw should exercise both outcomes
-    assert n_opt >= 100 and n_unb >= 10
+    # min x s.t. x >= 2.5, written x - s = 2.5 with a surplus s >= 0
+    x, y = _solve([[1.0, -1.0]], [2.5], [1.0, 0.0], [INF, INF])
+    assert x[0] == pytest.approx(2.5, abs=1e-8)
+    assert y[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_degenerate_ratio_ties():
-    # two rows tie at ratio 0; Bland's tie-break must still terminate
-    out = solve(LinearProgram([-1.0], [[1.0], [2.0]], [LE, LE], [0.0, 0.0]))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(0.0, abs=1e-12)
+    # min -x s.t. x + s1 = 0, 2x + s2 = 0: the feasible set is the single
+    # point 0, where both rows are tight, so it has no interior at all
+    x, _ = _solve([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]], [0.0, 0.0], [-1.0, 0.0, 0.0],
+                  [INF, INF, INF])
+    assert np.max(x) <= 1e-8
 
 
-def test_outcome_dataclass_defaults():
-    out = LpOutcome(INFEASIBLE)
-    assert out.x is None and out.value is None
+def test_beale_degenerate_cycling_example():
+    # the classic degenerate LP on which greedy simplex pivoting cycles,
+    # with slacks on its three <= rows; the optimum -1/20 is unique
+    c = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+    g = [[0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+         [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]
+    x, _ = _solve(g, [0.0, 0.0, 1.0], c, [INF] * 7)
+    assert np.array(c) @ x == pytest.approx(-0.05, abs=1e-9)
+    np.testing.assert_allclose(x[:4], [0.04, 0.0, 1.0, 0.0], atol=1e-8)
 
 
-def test_refreshed_tableau_solves_hard_core_lp_on_sign_draw():
-    # max sum t s.t. A^T psi = 0, psi >= t, 0 <= t <= 1, psi >= 0 on the
-    # third sign draw of rng(5), a 50x20 attainable instance.  Without
-    # refreshing the tableau from the original rows, roundoff makes the
-    # solver report this bounded LP as unbounded.
-    rng = np.random.default_rng(5)
-    for m, n in ((30, 12), (40, 16), (50, 20)):
-        inst = fixtures.random_instance(rng, m, n, "sign")
-    a = inst.a
-    lhs = np.block([[a.T, np.zeros((n, m))], [np.eye(m), -np.eye(m)]])
-    obj = np.concatenate([np.zeros(m), np.ones(m)])
-    lp = LinearProgram(obj, lhs, [EQ] * n + [GE] * m, np.zeros(n + m),
-                       bounds=[(0.0, math.inf)] * m + [(0.0, 1.0)] * m, maximize=True)
-    out = solve(lp)
-    ref = linprog(-obj, A_eq=lhs[:n], b_eq=np.zeros(n), A_ub=-lhs[n:], b_ub=np.zeros(m),
-                  bounds=lp.bounds, method="highs")
-    assert ref.status == 0 and -ref.fun == pytest.approx(50.0, abs=1e-7)
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(50.0, abs=1e-7)
-    assert residuals(lp, out.x) <= 1e-8
+def test_limit_is_strictly_complementary():
+    # min x3 s.t. x1 + x2 + x3 = 1: every point of the edge x3 = 0 is
+    # optimal.  A vertex method returns an end of it; the central path
+    # ends inside it, with x1 and x2 both bounded away from zero.
+    x, y = _solve([[1.0, 1.0, 1.0]], [1.0], [0.0, 0.0, 1.0], [INF, 1.0, INF])
+    assert min(x[0], x[1]) > 0.25 and x[2] <= 1e-8
+    assert abs(y[0]) <= 1e-8
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(lp.np.linalg, "qr", counting)
+    return calls
+
+
+def test_infeasible(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    for g, h, upper in (([[1.0, 1.0]], [-1.0], [INF, 1.0]),   # x >= 0 sums to -1
+                        ([[1.0]], [2.0], [1.0])):             # x <= 1 equals 2
+        calls.clear()
+        with pytest.raises(NotConvergedError):
+            _solve(g, h, np.zeros(len(upper)), upper)
+        assert len(calls) <= lp.MAX_ITERS
+
+
+def test_unbounded_free_variables(monkeypatch):
+    # max x1 - x2, a free variable split in two, next to a row x3 = 1
+    calls = _count_factorizations(monkeypatch)
+    with pytest.raises(NotConvergedError):
+        _solve([[0.0, 0.0, 1.0]], [1.0], [-1.0, 1.0, 0.0], [INF, INF, INF])
+    assert len(calls) <= lp.MAX_ITERS
+
+
+def test_random_lps_against_highs_and_duals():
+    # min c@x s.t. G x = h, 0 <= x <= upper with about half the bounds
+    # infinite.  h comes from an interior point, so the LP is feasible,
+    # and c = G^T y0 + z0 with z0 >= 0 off the finite bounds, so it is
+    # bounded.  The returned y must be the optimal multipliers:
+    # c - G^T y >= 0 where x has no upper bound, and the dual value
+    # h@y + upper@min(0, c - G^T y) equal to the optimum.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        nvar = k + int(rng.integers(1, 9))
+        g = rng.uniform(-1.0, 1.0, size=(k, nvar))
+        upper = np.where(rng.random(nvar) < 0.5, rng.uniform(0.5, 3.0, nvar), INF)
+        fin = np.isfinite(upper)
+        x0 = rng.uniform(0.0, 1.0, nvar) * np.where(fin, upper, 2.0)
+        h = g @ x0
+        c = g.T @ rng.uniform(-1.0, 1.0, k) + rng.uniform(0.0, 1.0, nvar)
+        c[fin] -= rng.uniform(0.0, 2.0, int(fin.sum()))
+        x, y = solve(g, h, c, upper)
+        ref = linprog(c, A_eq=g, b_eq=h, method="highs",
+                      bounds=[(0.0, u if np.isfinite(u) else None) for u in upper])
+        assert ref.status == 0
+        scale = 1.0 + abs(ref.fun)
+        assert abs(c @ x - ref.fun) <= 1e-7 * scale
+        assert np.max(np.abs(g @ x - h)) <= 1e-8
+        assert np.all(x >= 0.0) and np.all(x <= upper)
+        red = c - g.T @ y
+        assert np.all(red[~fin] >= -1e-7)
+        assert abs(h @ y + upper[fin] @ np.minimum(red[fin], 0.0) - ref.fun) <= 1e-7 * scale

@@ -132,6 +132,11 @@ def test_gamma_vanishes_along_explicit_weightings():
     assert gamma_classical(inst) <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(n for n in EXPECTED if EXPECTED[n][0] != WEAK_LEARNABLE))
+def test_gamma_is_exactly_zero_off_the_weakly_learnable_regime(name):
+    assert gamma_classical(fixtures.FIXTURES[name]()) == 0.0
+
+
 def test_kernel_basis_orthonormal_and_annihilating():
     inst = fixtures.mixed_3x2()
     b = kernel_basis(inst)
@@ -283,9 +288,9 @@ def test_analyze_solves_at_most_two_lps(name, monkeypatch):
     calls = []
     solve = structure.solve
 
-    def counting(lp, **kwargs):
-        calls.append(lp)
-        return solve(lp, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
 
     monkeypatch.setattr(structure, "solve", counting)
     rep = analyze(fixtures.FIXTURES[name]())
@@ -331,6 +336,9 @@ def _random_cases():
     a = rng.uniform(-1.0, 1.0, (35, 14))
     a -= np.outer(psi, psi @ a) / (psi @ psi)
     yield make_instance(a / np.max(np.abs(a)))
+    # the dense simplex this package used to bundle ran out of its 50000
+    # Bland-rule pivots on this draw
+    yield fixtures.random_instance(np.random.default_rng(0), 80, 80, "ternary")
 
 
 def test_hard_core_matches_highs_on_random_instances():
@@ -338,6 +346,40 @@ def test_hard_core_matches_highs_on_random_instances():
     for inst in _random_cases():
         rep = analyze(inst)
         assert list(rep.hard_core) == _highs_hard_core(inst.a)
+        regimes.add(rep.regime)
+    assert regimes == {WEAK_LEARNABLE, ATTAINABLE, MIXED}
+
+
+def _unit_columns(a):
+    """A with each nonzero column rescaled to max-abs 1.  Positive column
+    scaling leaves the dual cone's support, the hard core, unchanged, and
+    it keeps HiGHS's absolute tolerances meaningful."""
+    peak = np.max(np.abs(a), axis=0)
+    return a / np.where(peak > 0.0, peak, 1.0)
+
+
+def _degenerate_cases():
+    rng = np.random.default_rng(17)
+    for i in range(10):
+        m = int(rng.integers(6, 30))
+        n = int(rng.integers(3, 10))
+        a = fixtures.random_instance(rng, m, n, ("sign", "uniform", "ternary")[i % 3]).a
+        if i % 2:  # negated copies of a third of the rows join the core
+            a = np.vstack([a, -a[:m // 3]])
+        yield np.hstack([a, a[:, :2]])                          # duplicated columns
+        yield np.hstack([a, -a[:, :2]])                         # negated columns
+        yield np.insert(a, [0, m // 2, m // 2], 0.0, axis=0)    # zero rows
+        yield a * 1e-9                                          # the whole matrix tiny
+        b = a.copy()
+        b[:, 0] *= 1e-9                                         # one column tiny
+        yield b
+
+
+def test_hard_core_matches_highs_on_degenerate_instances():
+    regimes = set()
+    for a in _degenerate_cases():
+        rep = analyze(make_instance(a))
+        assert list(rep.hard_core) == _highs_hard_core(_unit_columns(a))
         regimes.add(rep.regime)
     assert regimes == {WEAK_LEARNABLE, ATTAINABLE, MIXED}
 
@@ -372,9 +414,11 @@ def test_analyze_accepts_true_witnesses_with_a_tiny_edge(rows, regime, core):
     # The witnesses span eight orders of magnitude (lam = (1, 2e8), psi =
     # (1, 1e8)), so the strict relations hold by far less than 1e-7 of
     # their l1 norm; they must still verify.
-    rep = analyze(make_instance(np.array(rows)))
+    inst = make_instance(np.array(rows))
+    rep = analyze(inst)
     assert rep.regime == regime
     assert rep.hard_core == core
+    assert (gamma_classical(inst) > 0.0) == (regime == WEAK_LEARNABLE)
 
 
 def test_analyze_raises_on_a_dual_witness_outside_the_kernel(monkeypatch):
@@ -409,6 +453,8 @@ def test_analysis_does_not_import_scipy_optimize():
     code = ("import sys, boostcd\n"
             "from boostcd import fixtures, structure\n"
             "structure.analyze(fixtures.mixed_3x2())\n"
+            "structure.analyze(fixtures.weaklearn_3x3())\n"
+            "structure.hard_core(fixtures.attainable_slow())\n"
             "print('scipy.optimize' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(boostcd.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
