@@ -6,6 +6,11 @@ with most), steps along the corresponding signed axis with a
 configurable line search, and records the history.  The run stops when
 the gradient sup-norm falls below tolerance, an optional target
 objective is reached, or the iteration cap is hit.
+
+A step updates the margins A @ lam in O(m), from the ones its line
+search already evaluated, instead of recomputing them in O(mn).  Every
+REFRESH_EVERY steps, and on the state a run stops at, they are
+recomputed from lam and checked against the running ones.
 """
 
 from __future__ import annotations
@@ -27,9 +32,21 @@ TARGET_REACHED = "target_reached"
 
 LINE_SEARCHES = (linesearch.WOLFE, linesearch.CLOSED_FORM, linesearch.EXACT)
 
+# Steps between full recomputations of the margins A @ lam, and the drift
+# of the running margins from them, relative to 1 + max |A @ lam|, past
+# which the recomputation raises MarginDriftError.  Each update adds a
+# rounding error of about eps * |margin|, so after REFRESH_EVERY steps the
+# drift is of order 1e-14 relative; 1e-9 leaves room for five orders more.
+REFRESH_EVERY = 64
+MARGIN_DRIFT_TOL = 1e-9
+
 
 class StationaryGradientError(ValueError):
     """The gradient is (numerically) zero: there is no coordinate to improve."""
+
+
+class MarginDriftError(RuntimeError):
+    """The running margins drifted from A @ lam beyond MARGIN_DRIFT_TOL."""
 
 
 def _norm_inf(v) -> float:
@@ -97,7 +114,10 @@ def select_coordinate(grad, selector: Selector = "best") -> tuple:
 
 @dataclass(frozen=True)
 class IterateState:
-    """Primal iterate with its derived quantities, all recomputed from lam."""
+    """Primal iterate with its derived quantities.  ``margins`` is A @ lam,
+    either recomputed from lam or updated along the last step's column
+    (see boost_step); the objective, dual weights and gradient are
+    computed from ``margins``."""
 
     lam: np.ndarray
     margins: np.ndarray
@@ -107,15 +127,33 @@ class IterateState:
     t: int
 
 
-def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
-    lam = np.array(lam, dtype=float)
-    lam.flags.writeable = False
-    margins = inst.a @ lam
+def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
+                margins: np.ndarray, t: int) -> IterateState:
+    """The state at ``lam`` whose margins are ``margins``; takes ownership
+    of both arrays."""
     weights = rf.grad(margins)
     grad = inst.a.T @ weights
-    for arr in (margins, weights, grad):
+    for arr in (lam, margins, weights, grad):
         arr.flags.writeable = False
     return IterateState(lam, margins, float(rf.value(margins)), weights, grad, int(t))
+
+
+def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
+    lam = np.array(lam, dtype=float)
+    return _state_from(inst, rf, lam, inst.a @ lam, t)
+
+
+def _rebuild(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
+             margins: np.ndarray, t: int) -> IterateState:
+    """``_state_at(lam)``, once the running ``margins`` are checked against
+    A @ lam: a drift above MARGIN_DRIFT_TOL * (1 + max |A @ lam|) raises
+    MarginDriftError."""
+    state = _state_at(inst, rf, lam, t)
+    drift = _norm_inf(margins - state.margins)
+    if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(state.margins)):
+        raise MarginDriftError(
+            f"running margins drifted {drift!r} from A @ lam at iteration {t}")
+    return state
 
 
 def initial_state(inst: BoostInstance, rf: RiskFunction) -> IterateState:
@@ -152,7 +190,14 @@ class StepOutcome(NamedTuple):
 def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
                cfg: RunConfig) -> StepOutcome:
     """One descent step.  Requires a non-stationary state (gradient
-    sup-norm above cfg.grad_tol)."""
+    sup-norm above cfg.grad_tol).
+
+    The new margins are ``state.margins + (sign * alpha) * a[:, j]``,
+    the ones the line search evaluated at its step, and the objective and
+    weights come from them; the gradient A.T @ weights is recomputed in
+    full, since selection needs all of it.  On every REFRESH_EVERY-th
+    iterate the margins are recomputed as A @ lam instead, and a running
+    value that drifted from them raises MarginDriftError."""
     grad_inf = _norm_inf(state.grad)
     if grad_inf <= cfg.grad_tol:
         raise StationaryGradientError(
@@ -187,7 +232,12 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
 
     lam = np.array(state.lam)
     lam[j] += s * res.alpha
-    new_state = _state_at(inst, rf, lam, state.t + 1)
+    margins = base + (s * res.alpha) * col
+    t = state.t + 1
+    if t % REFRESH_EVERY:
+        new_state = _state_from(inst, rf, lam, margins, t)
+    else:
+        new_state = _rebuild(inst, rf, lam, margins, t)
     return StepOutcome(new_state, j, sign, float(res.alpha), res.evals)
 
 
@@ -195,7 +245,8 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
 class TraceRecord:
     """Iteration t: the step taken from iterate t-1 and the objective after
     it.  ``grad_inf`` is the gradient sup-norm *before* the step, i.e. the
-    one that selected (j, sign)."""
+    one that selected (j, sign); ``evals`` counts the line search's
+    function and derivative evaluations (not written to the CSV)."""
 
     t: int
     objective: float
@@ -204,6 +255,7 @@ class TraceRecord:
     sign: int
     alpha: float
     wall_time: float
+    evals: int
 
 
 CSV_HEADER = "t,objective,grad_inf,j,sign,alpha"
@@ -241,12 +293,27 @@ def lam_from_steps(n: int, steps) -> np.ndarray:
     return lam
 
 
+def _stop_status(state: IterateState, cfg: RunConfig) -> Optional[str]:
+    """The stopping rule that holds at ``state``, in order of precedence."""
+    if cfg.target_objective is not None and state.objective <= cfg.target_objective:
+        return TARGET_REACHED
+    if _norm_inf(state.grad) <= cfg.grad_tol:
+        return GRADIENT_BELOW_TOL
+    if state.t >= cfg.max_iters:
+        return MAX_ITERS
+    return None
+
+
 def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Trace:
     """Coordinate descent from lam = 0 until a stopping condition holds.
 
     Stopping precedence: target objective (if configured), then gradient
     tolerance, then the iteration cap; the returned ``Trace.status`` names
-    the rule that fired.
+    the rule that fired.  A stopping rule is only ever decided on a state
+    recomputed from lam: when one holds on a state whose margins were
+    updated in place, that state is rebuilt before it is recorded, and the
+    rules are checked again on the rebuilt one.  So the final state and
+    the last record come from A @ lam exactly.
     """
     rf = RiskFunction(loss, inst.m)
     state = initial_state(inst, rf)
@@ -254,22 +321,19 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
     g0 = _norm_inf(state.grad)
     records: List[TraceRecord] = []
     while True:
-        if cfg.target_objective is not None and state.objective <= cfg.target_objective:
-            status = TARGET_REACHED
+        status = _stop_status(state, cfg)
+        if status is not None:
             break
         grad_inf = _norm_inf(state.grad)
-        if grad_inf <= cfg.grad_tol:
-            status = GRADIENT_BELOW_TOL
-            break
-        if state.t >= cfg.max_iters:
-            status = MAX_ITERS
-            break
         tic = time.perf_counter()
         out = boost_step(inst, rf, state, cfg)
-        wall = time.perf_counter() - tic
         state = out.state
+        # iterates at multiples of REFRESH_EVERY are already rebuilt
+        if state.t % REFRESH_EVERY and _stop_status(state, cfg) is not None:
+            state = _rebuild(inst, rf, state.lam, state.margins, state.t)
+        wall = time.perf_counter() - tic
         records.append(
             TraceRecord(state.t, state.objective, grad_inf, out.j, out.sign,
-                        out.alpha, wall)
+                        out.alpha, wall, out.evals)
         )
     return Trace(records, status, f0, g0, state)

@@ -7,8 +7,8 @@ phi(alpha) = f(x + alpha * v) of a convex objective:
                      curvature conditions,
 * ``closed_form_step``  a conservative explicit step from the level-set
                      curvature constant eta,
-* ``exact_search``   derivative bisection to a near-stationary point, used
-                     by the convergence experiments.
+* ``exact_search``   Illinois regula falsi on phi' to a near-stationary
+                     point, used by the convergence experiments.
 """
 
 from __future__ import annotations
@@ -176,9 +176,20 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
     """Near-stationary step: alpha > 0 with |phi'(alpha)| <= tol.
 
     Doubles an upper end until the derivative is decisively positive
-    (> tol), then bisects on the derivative sign.  If the derivative
-    never turns positive within the doubling budget the infimum is not
-    attained along the ray and ``RayUnboundedError`` is raised.
+    (> tol), then shrinks the bracket [lo, hi] with the Illinois variant
+    of regula falsi (Dowell & Jarratt 1971): each refinement evaluates
+    phi' once, at the secant point of phi' through both ends, and
+    replaces the end whose derivative has the same sign.  When the same
+    end is replaced twice in a row, the stored derivative at the other
+    end is halved, which keeps the secant from creeping in from one side
+    and gives superlinear convergence on smooth phi'.  A secant point
+    that is not finite or not strictly inside (lo, hi), as when phi'
+    overflows to +inf at the upper end, is replaced by the midpoint.
+    ``max_bisections`` caps the number of refinement evaluations.
+
+    If the derivative never turns positive within the doubling budget
+    the infimum is not attained along the ray and ``RayUnboundedError``
+    is raised.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -190,26 +201,36 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
         raise NotDescentDirectionError(f"phi'(0) = {dphi0!r} is not negative")
 
     lo, hi = 0.0, 1.0
+    d_lo = dphi0
     d_hi = float(dphi(hi))
     evals += 1
     doublings = 0
     while d_hi <= tol:
         if doublings >= max_doublings:
             raise RayUnboundedError("infimum not attained along ray")
-        lo = hi
+        lo, d_lo = hi, d_hi
         hi *= 2.0
         doublings += 1
         d_hi = float(dphi(hi))
         evals += 1
 
+    replaced = 0  # +1 if the last refinement moved hi, -1 if lo
     for _ in range(max_bisections):
-        mid = (lo + hi) / 2.0
-        d = float(dphi(mid))
+        alpha = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+        if not lo < alpha < hi:  # also false for nan
+            alpha = (lo + hi) / 2.0
+        d = float(dphi(alpha))
         evals += 1
         if abs(d) <= tol:
-            return StepResult(mid, evals, EXACT)
+            return StepResult(alpha, evals, EXACT)
         if d > 0.0:
-            hi = mid
+            hi, d_hi = alpha, d
+            if replaced == 1:
+                d_lo /= 2.0
+            replaced = 1
         else:
-            lo = mid
-    raise LineSearchBudgetError("derivative bisection budget exhausted", (lo, hi))
+            lo, d_lo = alpha, d
+            if replaced == -1:
+                d_hi /= 2.0
+            replaced = -1
+    raise LineSearchBudgetError("derivative search budget exhausted", (lo, hi))

@@ -6,7 +6,8 @@ predictor-corrector path following (Mehrotra 1992) from an infeasible
 start.  Each iteration factors ``(G Theta^1/2)^T = Q R`` once, so the
 normal matrix ``G Theta G^T = R^T R`` is never formed: forming it
 squares a condition number that the scaling ``Theta`` drives past 1e16
-near the optimum.  ``G`` must have full row rank.
+near the optimum.  ``G`` must have full row rank; the first
+factorization checks it and raises RankDeficientError otherwise.
 
 The iterates follow the central path, whose limit is a strictly
 complementary solution (Guler & Ye 1993): every variable that is
@@ -31,6 +32,12 @@ class NotConvergedError(RuntimeError):
     iterations, as on an infeasible or unbounded LP."""
 
 
+class RankDeficientError(ValueError):
+    """``G`` does not have full row rank: it has more rows than columns,
+    or the first R has a diagonal entry at or below
+    ``G.shape[1] * eps * max |diag R|``."""
+
+
 def _max_step(*pairs):
     """Largest alpha <= 1 with vals + alpha dirs >= 0 for every pair
     (vals, dirs), given vals > 0."""
@@ -44,7 +51,8 @@ def solve(G, h, c, upper):
     """Minimize c @ x s.t. G x = h, 0 <= x <= upper; returns (x, y) with
     y the multipliers of the rows of G: G^T y <= c on the variables at
     their lower bound, = c on those strictly between, >= c at the upper.
-    Raises NotConvergedError if the iteration does not converge."""
+    Raises RankDeficientError if G does not have full row rank and
+    NotConvergedError if the iteration does not converge."""
     G = np.asarray(G, dtype=float)
     h, c, upper = (np.asarray(a, dtype=float) for a in (h, c, upper))
     fin = np.isfinite(upper)
@@ -58,7 +66,7 @@ def solve(G, h, c, upper):
     y = np.zeros(G.shape[0])
     ncomp = x.size + w.size
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
-    for _ in range(MAX_ITERS):
+    for it in range(MAX_ITERS):
         r_p = h - G @ x
         r_u = u - x[fin] - w
         r_d = c - G.T @ y - z
@@ -76,7 +84,12 @@ def solve(G, h, c, upper):
         d[fin] += v / w
         sq = 1.0 / np.sqrt(d)  # Theta^1/2
         q, R = np.linalg.qr(G.T * sq[:, None])
-        if not np.all(np.abs(np.diag(R)) > 0.0):
+        diag = np.abs(np.diag(R))
+        if it == 0 and (diag.size < G.shape[0] or not np.all(
+                diag > G.shape[1] * np.finfo(float).eps * diag.max(initial=0.0))):
+            raise RankDeficientError(
+                f"G ({G.shape[0]} x {G.shape[1]}) does not have full row rank")
+        if not np.all(diag > 0.0):
             break
         p_p = scipy.linalg.solve_triangular(R, r_p, trans="T", check_finite=False)
         # Per column, dz - dv = r_d - G^T dy (no dv without an upper

@@ -1,6 +1,7 @@
 """Coordinate descent driver: selection rule, stopping precedence,
 per-step guarantees, and trace round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -253,3 +254,52 @@ def test_wolfe_runs_past_the_roundoff_floor_to_the_gradient_tolerance(kind):
     exact = run(inst, loss, RunConfig(line_search="exact"))
     assert exact.status == boost.GRADIENT_BELOW_TOL
     assert abs(trace.final_state.objective - exact.final_state.objective) <= 1e-12
+
+
+def test_trace_records_line_search_evaluations():
+    inst = fixtures.mixed_3x2()
+    loss = make_loss(LOGISTIC, inst.m)
+    trace = run(inst, loss, RunConfig(line_search="exact", grad_tol=1e-8, max_iters=200))
+    evals = [r.evals for r in trace.records]
+    # each exact step evaluates phi' at least at the bracket's upper end
+    # and once inside; derivative bisection needs about 40
+    assert len(evals) > 50 and min(evals) >= 2
+    assert sum(evals) / len(evals) <= 12
+    closed = run(inst, loss, RunConfig(line_search="closed", max_iters=5))
+    assert [r.evals for r in closed.records] == [0] * 5
+    assert closed.to_csv().startswith(boost.CSV_HEADER + "\n")
+
+
+def test_run_across_refresh_periods_ends_on_margins_from_lam():
+    inst = fixtures.mixed_3x2()
+    iters = 3 * boost.REFRESH_EVERY + 5
+    trace = run(inst, make_loss(LOGISTIC, inst.m),
+                RunConfig(line_search="exact", grad_tol=0.0, max_iters=iters))
+    assert trace.status == MAX_ITERS
+    st = trace.final_state
+    assert st.t == iters
+    assert np.array_equal(st.margins, inst.a @ st.lam)
+    assert trace.records[-1].objective == st.objective
+
+
+def test_refresh_step_raises_on_drifted_margins():
+    inst = fixtures.mixed_3x2()
+    loss = make_loss(LOGISTIC, inst.m)
+    rf = RiskFunction(loss, inst.m)
+    cfg = RunConfig(line_search="exact", grad_tol=0.0)
+    st = run(inst, loss, dataclasses.replace(cfg, max_iters=boost.REFRESH_EVERY - 1)).final_state
+    assert boost_step(inst, rf, st, cfg).state.t == boost.REFRESH_EVERY
+    drifted = dataclasses.replace(st, margins=st.margins + 1e-6)
+    with pytest.raises(boost.MarginDriftError):
+        boost_step(inst, rf, drifted, cfg)
+
+
+@pytest.mark.parametrize("name", ["mixed-3x2", "attainable-slow"])
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+def test_long_exact_run_objectives_never_rise(name, kind):
+    inst = fixtures.FIXTURES[name]()
+    trace = run(inst, make_loss(kind, inst.m),
+                RunConfig(line_search="exact", grad_tol=0.0, max_iters=8 * boost.REFRESH_EVERY))
+    assert trace.status == MAX_ITERS
+    fs = trace.objectives()
+    assert np.all(fs[1:] <= fs[:-1] * (1.0 + 1e-12))

@@ -144,8 +144,47 @@ def test_exact_search_unbounded_ray():
 
 
 def test_exact_search_budget():
+    # curved, so no refinement lands on the root exactly; tol 1e-18 is
+    # below the roundoff of phi' there
     with pytest.raises(LineSearchBudgetError):
-        exact_search(lambda a: a - math.log(2.0), 1e-18, max_bisections=3)
+        exact_search(lambda a: math.expm1(a) - 1.0, 1e-18, max_bisections=3)
+
+
+def test_exact_search_solves_a_linear_derivative_in_one_refinement():
+    # the bracket [0, 1] from doubling, then the secant of a linear phi'
+    # through its ends is the root
+    dphi = lambda a: a - math.log(2.0)
+    res = exact_search(dphi, dphi0=dphi(0.0))
+    assert res.evals == 2  # phi'(1), then the secant point
+    assert abs(res.alpha - math.log(2.0)) <= 1e-15
+
+
+def test_exact_search_falls_back_to_the_midpoint_on_infinite_derivatives():
+    # phi' overflows to +inf past 3, as an exponential loss does at a
+    # huge trial step: doubling brackets the root ln 12 in [2, 4] with
+    # phi'(4) = inf, where the secant point is nan; midpoints shrink the
+    # bracket until its upper end is finite, then secant steps converge
+    calls = []
+
+    def dphi(a):
+        calls.append(a)
+        return math.inf if a >= 3.0 else math.expm1(a) - 11.0
+
+    res = exact_search(dphi)
+    assert calls[:6] == [0.0, 1.0, 2.0, 4.0, 3.0, 2.5]
+    assert abs(dphi(res.alpha)) <= 1e-12
+    assert abs(res.alpha - math.log(12.0)) <= 1e-12
+    # bisecting [2, 4] down to tol would take about 40 more
+    assert res.evals == len(calls) - 1 <= 15
+
+
+def test_exact_search_beats_bisection_on_a_curved_derivative():
+    # phi(a) = e^a - 2a: bisection from [0, 1] would need about 40
+    # evaluations for tol 1e-12; Illinois converges superlinearly
+    dphi = lambda a: math.expm1(a) - 1.0
+    res = exact_search(dphi)
+    assert abs(dphi(res.alpha)) <= 1e-12
+    assert res.evals <= 10
 
 
 def test_exact_search_tolerance_validation():

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from boostcd import lp
-from boostcd.lp import NotConvergedError, solve
+from boostcd.lp import NotConvergedError, RankDeficientError, solve
 
 INF = np.inf
 
@@ -92,6 +92,21 @@ def test_unbounded_free_variables(monkeypatch):
     with pytest.raises(NotConvergedError):
         _solve([[0.0, 0.0, 1.0]], [1.0], [-1.0, 1.0, 0.0], [INF, INF, INF])
     assert len(calls) <= lp.MAX_ITERS
+
+
+def test_rank_deficient_rows_raise_before_iterating(monkeypatch):
+    # two equal rows with different right-hand sides, the same rows
+    # consistent, a zero row, and more rows than variables: each is
+    # named on the first factorization, not reported as divergence
+    calls = _count_factorizations(monkeypatch)
+    for g, h in (([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0]),
+                 ([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0]),
+                 ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),
+                 ([[1.0], [2.0]], [1.0, 2.0])):
+        calls.clear()
+        with pytest.raises(RankDeficientError):
+            _solve(g, h, np.zeros(len(g[0])), [INF] * len(g[0]))
+        assert len(calls) == 1
 
 
 def test_random_lps_against_highs_and_duals():
