@@ -39,13 +39,10 @@ from .structure import (
     DualCertificate,
     StructureReport,
     analyze,
-    attainable,
     decompose,
     dual_certificate,
     gamma_classical,
     hard_core,
-    kernel_basis,
-    weak_learnable,
 )
 
 __version__ = "0.1.0"
@@ -54,10 +51,10 @@ __all__ = [
     "ApproxSelector", "BoostInstance", "DualCertificate", "EXPONENTIAL",
     "IterateState", "LOGISTIC", "LabeledSample", "LossSpec", "RiskFunction",
     "RunConfig", "StepResult", "StructureReport", "Trace", "WolfeParams",
-    "analyze", "attainable", "boost_step", "build_instance", "closed_form_step",
+    "analyze", "boost_step", "build_instance", "closed_form_step",
     "conj_eval", "conj_grad", "decompose", "dual_certificate", "exact_search",
-    "gamma_classical", "hard_core", "initial_state", "kernel_basis",
-    "loss_constants", "loss_eval", "loss_grad", "loss_hess", "make_instance",
-    "make_loss", "margins", "read_instance", "run", "select_coordinate",
-    "training_error", "weak_learnable", "wolfe_search", "write_instance",
+    "gamma_classical", "hard_core", "initial_state", "loss_constants",
+    "loss_eval", "loss_grad", "loss_hess", "make_instance", "make_loss",
+    "margins", "read_instance", "run", "select_coordinate", "training_error",
+    "wolfe_search", "write_instance",
 ]

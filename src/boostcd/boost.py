@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Union
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,17 +68,16 @@ class ApproxSelector:
             raise ValueError(f"c0 must lie in (0, 1], got {self.c0}")
 
 
-Selector = Union[str, ApproxSelector]
-
-
 def _best_coordinate(g: np.ndarray) -> tuple:
     j = int(np.argmax(np.abs(g)))  # ties: lowest index
     sign = -1 if g[j] > 0.0 else 1
     return j, sign
 
 
-def select_coordinate(grad, selector: Selector = "best") -> tuple:
-    """Pick (j, sign) with sign * grad[j] = -|grad[j]|, maximizing |grad[j]|.
+def select_coordinate(grad, selector: Optional[ApproxSelector] = None) -> tuple:
+    """Pick (j, sign) with sign * grad[j] = -|grad[j]|, maximizing |grad[j]|,
+    or, with an ApproxSelector that has a ``pick``, the admissible pair it
+    picks.
 
     An all-zero gradient admits no descent coordinate and raises
     ``StationaryGradientError``.
@@ -90,13 +89,9 @@ def select_coordinate(grad, selector: Selector = "best") -> tuple:
         raise ValueError("grad must be finite")
     if not np.any(g != 0.0):
         raise StationaryGradientError("gradient is identically zero")
-    if isinstance(selector, str):
-        if selector != "best":
-            raise ValueError(f"unknown selector {selector!r}")
-        return _best_coordinate(g)
-    if not isinstance(selector, ApproxSelector):
+    if selector is not None and not isinstance(selector, ApproxSelector):
         raise ValueError(f"bad selector: {selector!r}")
-    if selector.pick is None:
+    if selector is None or selector.pick is None:
         return _best_coordinate(g)
     j, sign = selector.pick(g)
     j = int(j)
@@ -168,7 +163,7 @@ class RunConfig:
     line_search: str = linesearch.WOLFE
     wolfe: WolfeParams = field(default_factory=WolfeParams)
     exact_tol: float = 1e-12
-    selector: Selector = "best"
+    selector: Optional[ApproxSelector] = None
 
     def __post_init__(self):
         if self.line_search not in LINE_SEARCHES:

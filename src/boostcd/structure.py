@@ -23,11 +23,12 @@ primal one, so :func:`analyze` solves that LP and, for a weakly
 learnable instance only, one more for the rate gamma.  Strict
 inequalities are compiled to margin-1 form, which the cone's scale
 invariance makes equivalent.  The LP solver is not trusted on its own:
-every witness a report carries is checked against A by
-:func:`verify_witness`, and a failed check raises.  The direct tests of
-Gordan's and Stiemke's alternatives (:func:`weak_learnable`,
-:func:`attainable`) are references for tests and run on HiGHS, an
-independent solver; they import ``scipy.optimize`` only when called.
+:func:`analyze`, :func:`decompose` and :func:`hard_core` all check their
+witnesses against A by :func:`verify_witness`, and a failed check
+raises.  This is the module's one path to each structural fact; the
+independent references the tests compare it with (the direct tests of
+Gordan's and Stiemke's alternatives on HiGHS, an SVD kernel basis) live
+in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -59,48 +60,6 @@ MIXED = "mixed"
 
 class InvariantViolationError(RuntimeError):
     """An internally certified structural fact failed to verify."""
-
-
-def weak_learnable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
-    """Is there lam with A @ lam < 0 (every example strictly beaten)?
-
-    The direct test of Gordan's alternative, solved by HiGHS as the
-    feasibility LP {A @ lam <= -1}; returns the witness.  It is the
-    reference the hard core is checked against, on a solver independent
-    of :func:`analyze`'s, which takes its witness from the core LP.
-    """
-    from scipy.optimize import linprog
-
-    out = linprog(np.zeros(inst.n), A_ub=inst.a, b_ub=-np.ones(inst.m),
-                  bounds=(None, None), method="highs")
-    if out.status == 0:
-        return True, out.x
-    if out.status == 2:
-        return False, None
-    raise RuntimeError(f"unexpected HiGHS status {out.status} in weak_learnable")
-
-
-def attainable(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
-    """Is there a strictly positive dual vector (psi > 0, A^T psi = 0)?
-
-    The direct test of Stiemke's alternative, solved by HiGHS as
-    max tau s.t. A^T psi = 0, psi >= tau * 1, 0 <= psi <= 1, which is
-    scale-free; attainable iff the optimum exceeds tolerance.
-    """
-    from scipy.optimize import linprog
-
-    m, n = inst.m, inst.n
-    # variables: psi_1..psi_m, tau
-    obj = np.zeros(m + 1)
-    obj[m] = -1.0
-    out = linprog(obj, A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]), b_ub=np.zeros(m),
-                  A_eq=np.hstack([inst.a.T, np.zeros((n, 1))]), b_eq=np.zeros(n),
-                  bounds=(0.0, 1.0), method="highs")
-    if out.status != 0:
-        raise RuntimeError(f"unexpected HiGHS status {out.status} in attainable")
-    if -out.fun > FEAS_TOL:
-        return True, out.x[:m]
-    return False, None
 
 
 def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
@@ -138,7 +97,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     if nz.size:
         b = a[nz]
         k = nz.size
-        q, rank = _pivoted_qr(b, "economic")
+        q, rank = _pivoted_qr(b)
         q_r = q[:, :rank]
         x, y = solve(np.hstack([q_r.T, q_r.T]), np.zeros(rank),
                      np.concatenate([-np.ones(k), np.zeros(k)]),
@@ -154,8 +113,10 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
 
 
 def hard_core(inst: BoostInstance) -> list:
-    """Hard core as sorted 1-based example ids."""
-    return [i + 1 for i in _dual_core(inst)[0]]
+    """Hard core as sorted 1-based example ids, certified by the core
+    LP's witnesses as in :func:`decompose`; a witness that fails to
+    verify raises InvariantViolationError."""
+    return [i + 1 for i in _certified_split(inst)[0]]
 
 
 def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
@@ -189,25 +150,6 @@ def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
             raise InvariantViolationError("dual witness fails A^T psi = 0")
         if np.any(core) and not float(np.min(psi[core])) > inst.m * eps * norm:
             raise InvariantViolationError("dual witness fails psi > 0 on the core")
-
-
-def _nonpositive_nonzero_ray(inst: BoostInstance) -> Tuple[bool, Optional[np.ndarray]]:
-    """Is there lam with A @ lam <= 0 and A @ lam != 0?
-
-    This is the primal side of Stiemke's alternative (its failure for all
-    lam is equivalent to attainability), kept as a reference like
-    :func:`attainable`.  Solved by HiGHS on a unit box so the LP stays
-    bounded: max sum(-A @ lam) s.t. A @ lam <= 0, -1 <= lam <= 1.
-    """
-    from scipy.optimize import linprog
-
-    out = linprog(np.sum(inst.a, axis=0), A_ub=inst.a, b_ub=np.zeros(inst.m),
-                  bounds=(-1.0, 1.0), method="highs")
-    if out.status != 0:
-        raise RuntimeError(f"unexpected HiGHS status {out.status} in ray search")
-    if -out.fun > FEAS_TOL:
-        return True, out.x
-    return False, None
 
 
 @dataclass(frozen=True)
@@ -274,42 +216,28 @@ def gamma_classical(inst: BoostInstance) -> float:
     return float(np.max(np.abs(inst.a.T @ phi)) / np.sum(phi))
 
 
-def _pivoted_qr(a: np.ndarray, mode: str) -> Tuple[np.ndarray, int]:
-    """Q of a column-pivoted QR of A (Businger-Golub) and A's numerical rank.
+def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Thin m x min(m, n) Q of a column-pivoted QR of A (Businger-Golub)
+    and A's numerical rank.
 
     The rank counts the |diag R| above KERNEL_RANK_TOL times the largest
-    column norm, so the first ``rank`` columns of Q span range(A) and the
-    rest of the full Q spans ker(A^T).  ``mode`` is scipy's: "full" for
-    the m x m Q, "economic" for the thin m x min(m, n) one; both come
-    from the same R, so they agree on the rank.
+    column norm, so the first ``rank`` columns of Q span range(A).
     """
-    q, r, _ = scipy.linalg.qr(a, mode=mode, pivoting=True)
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
     return q, int(np.count_nonzero(np.abs(np.diag(r)) > tol))
-
-
-def kernel_basis(inst: BoostInstance) -> np.ndarray:
-    """Orthonormal basis (m x k) of ker(A^T), the span of the dual cone.
-
-    Rank decisions come from a column-pivoted QR of A with tolerance
-    1e-10 times the largest column norm.  This forms the full m x m Q,
-    O(m^2 n) time and O(m^2) memory; :func:`dual_certificate` projects
-    through the thin factor instead.
-    """
-    q, rank = _pivoted_qr(inst.a, "full")
-    return q[:, rank:]
 
 
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
 
     Q_r (m x rank) is the thin pivoted-QR factor spanning range(A), with
-    the rank decided as in :func:`kernel_basis`: O(m n^2) time and O(m n)
-    memory.  One re-projection keeps A^T of the result at roundoff.  An
+    the rank decided by :func:`_pivoted_qr`: O(m n^2) time and O(m n)
+    memory; no m x m Q is formed.  One re-projection keeps A^T of the result at roundoff.  An
     empty kernel (rank == m) gives exact zeros.
     """
     m = a.shape[0]
-    q, rank = _pivoted_qr(a, "economic")
+    q, rank = _pivoted_qr(a)
     if rank == m:
         return np.zeros(m)
     q_r = q[:, :rank]

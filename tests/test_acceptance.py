@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+import references
 from boostcd import boost, fixtures, structure
 from boostcd.boost import RunConfig, initial_state, run
 from boostcd.cli import main
@@ -133,9 +134,9 @@ def test_structural_alternatives_on_random_instances():
         entries = "ternary" if i % 2 == 0 else "uniform"
         inst = fixtures.random_instance(rng, m, n, entries=entries)
         core = structure.hard_core(inst)
-        weak, _ = structure.weak_learnable(inst)
-        att, _ = structure.attainable(inst)
-        ray, _ = structure._nonpositive_nonzero_ray(inst)
+        weak, _ = references.weak_learnable(inst)
+        att, _ = references.attainable(inst)
+        ray, _ = references._nonpositive_nonzero_ray(inst)
         if weak != (core == []):
             failures.append(f"#{i}: halfspace witness vs empty core disagree")
         if att != (len(core) == inst.m):

@@ -1,5 +1,6 @@
 """Structural classification: regimes, hard core, decomposition, the
-classical rate, kernel bases, and dual certificates."""
+classical rate, kernel projections, and dual certificates, checked
+against the independent references in ``references``."""
 
 import json
 import math
@@ -10,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import boostcd
 from boostcd import boost, fixtures, structure
@@ -21,15 +21,19 @@ from boostcd.structure import (
     MIXED,
     WEAK_LEARNABLE,
     InvariantViolationError,
-    _nonpositive_nonzero_ray,
     analyze,
-    attainable,
     decompose,
     dual_certificate,
     gamma_classical,
     hard_core,
-    kernel_basis,
     verify_witness,
+)
+from references import (
+    _highs_hard_core,
+    _nonpositive_nonzero_ray,
+    _unit_columns,
+    attainable,
+    kernel_basis,
     weak_learnable,
 )
 
@@ -297,23 +301,6 @@ def test_analyze_solves_at_most_two_lps(name, monkeypatch):
     assert len(calls) == {WEAK_LEARNABLE: 2, ATTAINABLE: 1, MIXED: 1}[rep.regime]
 
 
-def _highs_hard_core(a):
-    """1-based hard core from HiGHS, by definition: the union of the
-    supports of dual cone vectors, grown one LP at a time by maximizing
-    the weight on rows not yet known to be in it."""
-    m, n = a.shape
-    core = np.zeros(m, dtype=bool)
-    while not core.all():
-        ref = linprog(-(~core).astype(float), A_eq=a.T, b_eq=np.zeros(n),
-                      bounds=[(0.0, 1.0)] * m, method="highs")
-        assert ref.status == 0
-        grown = ~core & (ref.x > 1e-7)
-        if not grown.any():
-            break
-        core |= grown
-    return [int(i) + 1 for i in np.flatnonzero(core)]
-
-
 def _random_cases():
     rng = np.random.default_rng(5)  # the draws on which unrefreshed pivots failed
     for m, n in ((30, 12), (40, 16), (50, 20)):
@@ -348,14 +335,6 @@ def test_hard_core_matches_highs_on_random_instances():
         assert list(rep.hard_core) == _highs_hard_core(inst.a)
         regimes.add(rep.regime)
     assert regimes == {WEAK_LEARNABLE, ATTAINABLE, MIXED}
-
-
-def _unit_columns(a):
-    """A with each nonzero column rescaled to max-abs 1.  Positive column
-    scaling leaves the dual cone's support, the hard core, unchanged, and
-    it keeps HiGHS's absolute tolerances meaningful."""
-    peak = np.max(np.abs(a), axis=0)
-    return a / np.where(peak > 0.0, peak, 1.0)
 
 
 def _degenerate_cases():
@@ -421,7 +400,9 @@ def test_analyze_accepts_true_witnesses_with_a_tiny_edge(rows, regime, core):
     assert (gamma_classical(inst) > 0.0) == (regime == WEAK_LEARNABLE)
 
 
-def test_analyze_raises_on_a_dual_witness_outside_the_kernel(monkeypatch):
+@pytest.mark.parametrize("entry", [analyze, hard_core, decompose],
+                         ids=lambda f: f.__name__)
+def test_analyze_raises_on_a_dual_witness_outside_the_kernel(entry, monkeypatch):
     inst = fixtures.attainable_slow()
     dual_core = structure._dual_core
 
@@ -431,7 +412,7 @@ def test_analyze_raises_on_a_dual_witness_outside_the_kernel(monkeypatch):
 
     monkeypatch.setattr(structure, "_dual_core", drifted)
     with pytest.raises(InvariantViolationError, match=r"A\^T psi = 0"):
-        analyze(inst)
+        entry(inst)
 
 
 @pytest.mark.parametrize("name", ["mixed-3x2", "weaklearn-3x3"])
@@ -449,12 +430,21 @@ def test_analyze_raises_on_a_primal_witness_that_fails_an_off_core_row(name, mon
 
 def test_analysis_does_not_import_scipy_optimize():
     # importing scipy.optimize adds about 16 MB of peak resident memory
-    # and 0.1-0.2 s, which the structure analysis does not need
-    code = ("import sys, boostcd\n"
-            "from boostcd import fixtures, structure\n"
+    # and 0.1-0.2 s, which no library path needs: not the analyses, a run
+    # and its certificate, nor the CLI's rate checks
+    code = ("import contextlib, io, sys, boostcd\n"
+            "from boostcd import boost, cli, fixtures, structure\n"
+            "from boostcd.losses import LOGISTIC, make_loss\n"
             "structure.analyze(fixtures.mixed_3x2())\n"
             "structure.analyze(fixtures.weaklearn_3x3())\n"
             "structure.hard_core(fixtures.attainable_slow())\n"
+            "structure.decompose(fixtures.confidence_4x3())\n"
+            "inst = fixtures.mixed_3x2()\n"
+            "loss = make_loss(LOGISTIC, inst.m)\n"
+            "trace = boost.run(inst, loss, boost.RunConfig(max_iters=50))\n"
+            "structure.dual_certificate(inst, loss, trace.final_state)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['rates']) == 0\n"
             "print('scipy.optimize' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(boostcd.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
