@@ -162,7 +162,6 @@ class RunConfig:
     target_objective: Optional[float] = None
     line_search: str = linesearch.WOLFE
     wolfe: WolfeParams = field(default_factory=WolfeParams)
-    exact_tol: float = 1e-12
     selector: Optional[ApproxSelector] = None
 
     def __post_init__(self):
@@ -170,8 +169,10 @@ class RunConfig:
             raise ValueError(
                 f"line_search must be one of {LINE_SEARCHES}, got {self.line_search!r}"
             )
-        if self.grad_tol < 0 or self.max_iters < 0:
+        if not (self.grad_tol >= 0 and self.max_iters >= 0):
             raise ValueError("grad_tol and max_iters must be nonnegative")
+        if self.target_objective is not None and np.isnan(self.target_objective):
+            raise ValueError("target_objective must not be NaN")
 
 
 class StepOutcome(NamedTuple):
@@ -223,7 +224,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         alpha = linesearch.closed_form_step(grad_inf, state.objective, rf.loss.eta)
         res = StepResult(alpha, 0, linesearch.CLOSED_FORM)
     else:
-        res = linesearch.exact_search(dphi, cfg.exact_tol, dphi0=slope0)
+        res = linesearch.exact_search(dphi, dphi0=slope0)
 
     lam = np.array(state.lam)
     lam[j] += s * res.alpha
@@ -315,17 +316,17 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
     f0 = state.objective
     g0 = _norm_inf(state.grad)
     records: List[TraceRecord] = []
-    while True:
-        status = _stop_status(state, cfg)
-        if status is not None:
-            break
+    status = _stop_status(state, cfg)
+    while status is None:
         grad_inf = _norm_inf(state.grad)
         tic = time.perf_counter()
         out = boost_step(inst, rf, state, cfg)
         state = out.state
+        status = _stop_status(state, cfg)
         # iterates at multiples of REFRESH_EVERY are already rebuilt
-        if state.t % REFRESH_EVERY and _stop_status(state, cfg) is not None:
+        if status is not None and state.t % REFRESH_EVERY:
             state = _rebuild(inst, rf, state.lam, state.margins, state.t)
+            status = _stop_status(state, cfg)
         wall = time.perf_counter() - tic
         records.append(
             TraceRecord(state.t, state.objective, grad_inf, out.j, out.sign,

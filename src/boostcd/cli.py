@@ -151,21 +151,9 @@ def _series(trace: Trace):
     return ts, objectives
 
 
-def _require_regime(name: str, expected: str):
-    """The named fixture and its structure report, after checking its regime."""
-    inst = fixtures.FIXTURES[name]()
-    report = structure.analyze(inst)
-    if report.regime != expected:
-        raise RuntimeError(
-            f"fixture regression: {name} classified {report.regime}, "
-            f"expected {expected}"
-        )
-    return inst, report
-
-
 def _rates_weak_learnable():
-    inst, report = _require_regime("weaklearn-3x3", structure.WEAK_LEARNABLE)
-    gamma = report.gamma_classical
+    inst = fixtures.weaklearn_3x3()
+    gamma = structure.gamma_classical(inst)
     loss = make_loss("exp", inst.m)
     f0 = inst.m * 1.0
     target = 1e-6
@@ -194,7 +182,7 @@ def _rates_weak_learnable():
 
 
 def _rates_attainable(kind: str):
-    inst, _ = _require_regime("attainable-slow", structure.ATTAINABLE)
+    inst = fixtures.attainable_slow()
     loss = make_loss(kind, inst.m)
     fbar = fixtures.reference_optimum("attainable-slow", kind)
     trace = run(inst, loss, RunConfig(max_iters=200, grad_tol=1e-12))
@@ -219,7 +207,7 @@ def _rates_attainable(kind: str):
 
 
 def _rates_mixed():
-    inst, _ = _require_regime("mixed-3x2", structure.MIXED)
+    inst = fixtures.mixed_3x2()
     loss = make_loss(LOGISTIC, inst.m)
     fbar = fixtures.reference_optimum("mixed-3x2", "logistic")
 
@@ -284,12 +272,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run coordinate descent on an instance")
     p_run.add_argument("instance")
     add_loss(p_run)
-    p_run.add_argument("--line-search", choices=("wolfe", "closed", "exact"),
-                       default="wolfe")
-    p_run.add_argument("--c1", type=float, default=1.0 / 3.0)
-    p_run.add_argument("--c2", type=float, default=1.0 / 2.0)
-    p_run.add_argument("--grad-tol", type=float, default=1e-10)
-    p_run.add_argument("--iters", type=int, default=1000)
+    p_run.add_argument("--line-search", choices=boost.LINE_SEARCHES,
+                       default=RunConfig.line_search)
+    p_run.add_argument("--c1", type=float, default=WolfeParams.c1)
+    p_run.add_argument("--c2", type=float, default=WolfeParams.c2)
+    p_run.add_argument("--grad-tol", type=float, default=RunConfig.grad_tol)
+    p_run.add_argument("--iters", type=int, default=RunConfig.max_iters)
     p_run.add_argument("--target", type=float, default=None)
     p_run.add_argument("--out", default=None, help="trace CSV path")
     p_run.set_defaults(func=cmd_run)

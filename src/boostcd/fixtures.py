@@ -10,6 +10,7 @@ from . import structure
 from .instance import BoostInstance, make_instance
 
 LN2 = math.log(2.0)
+MAX_TRIES = 2000
 
 
 def mixed_3x2() -> BoostInstance:
@@ -132,18 +133,17 @@ def random_instance(rng: np.random.Generator, m: int, n: int,
 
 
 def random_by_regime(regime: str, seed: int, m: int | None = None,
-                     n: int | None = None, entries: str = "uniform",
-                     max_tries: int = 2000) -> BoostInstance:
+                     n: int | None = None, entries: str = "uniform") -> BoostInstance:
     """Rejection-sample a random instance of the requested regime.
 
     Sizes default to uniform draws in 2..5 examples / 2..6 learners.
     Classification is by the hard core, so the draw is consistent with
-    :func:`boostcd.structure.analyze`.
+    :func:`boostcd.structure.analyze`.  Gives up after MAX_TRIES draws.
     """
     if regime not in (structure.WEAK_LEARNABLE, structure.ATTAINABLE, structure.MIXED):
         raise ValueError(f"unknown regime {regime!r}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         mm = int(m) if m is not None else int(rng.integers(2, 6))
         nn = int(n) if n is not None else int(rng.integers(2, 7))
         inst = random_instance(rng, mm, nn, entries)
@@ -157,5 +157,5 @@ def random_by_regime(regime: str, seed: int, m: int | None = None,
         if found == regime:
             return inst
     raise RuntimeError(
-        f"no {regime} instance found in {max_tries} draws (seed {seed})"
+        f"no {regime} instance found in {MAX_TRIES} draws (seed {seed})"
     )

@@ -139,7 +139,10 @@ def from_json(text: str) -> BoostInstance:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('instance JSON needs keys "m", "n", "entries"')
-    inst = make_instance(obj["entries"])
+    try:
+        inst = make_instance(obj["entries"])
+    except TypeError as exc:  # entries that are not numbers, e.g. objects
+        raise ValueError(f"malformed instance JSON: {exc}") from exc
     if inst.m != obj["m"] or inst.n != obj["n"]:
         raise ValueError(
             f"declared shape ({obj['m']}, {obj['n']}) does not match "

@@ -83,7 +83,8 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     lam solving A lam = Q_r y is the Gordan witness when the core is
     empty and the Motzkin one when it is proper.  The core is read as
     t > 1/2; psi is t + s on it, and both witnesses are purified by
-    projection: psi onto ker(A_core^T), lam onto ker(A_core).
+    projection: psi onto ker(A_core^T), lam onto ker(A_core).  With no
+    row off the core there is no primal witness, and lam is left zero.
 
     A zero row of A is in the core (psi = e_i) and would give s_i an
     unbounded ray, so zero rows are set aside before the solve.
@@ -104,11 +105,13 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
                      np.concatenate([np.ones(k), np.full(k, np.inf)]))
         in_core = x[:k] > 0.5
         core[nz[in_core]] = True
-        lam = np.linalg.lstsq(b, q_r @ y, rcond=None)[0]
+        b_core = b[in_core]
         if np.any(in_core):
-            b_core = b[in_core]
             psi[nz[in_core]] = _kernel_projection(b_core, (x[:k] + x[k:])[in_core])
-            lam = _kernel_projection(b_core.T, lam)
+        if not np.all(in_core):
+            lam = np.linalg.lstsq(b, q_r @ y, rcond=None)[0]
+            if np.any(in_core):
+                lam = _kernel_projection(b_core.T, lam)
     return [int(i) for i in np.flatnonzero(core)], psi, lam
 
 

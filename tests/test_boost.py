@@ -229,6 +229,10 @@ def test_run_config_validation():
         RunConfig(grad_tol=-1.0)
     with pytest.raises(ValueError):
         RunConfig(max_iters=-1)
+    with pytest.raises(ValueError):
+        RunConfig(grad_tol=math.nan)
+    with pytest.raises(ValueError):
+        RunConfig(target_objective=math.nan)
 
 
 def _planted_attainable(m, n, seed):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcd import fixtures
+from boostcd import fixtures, structure
 from boostcd.cli import main
 from boostcd.instance import from_json, make_instance, read_instance, write_instance
 
@@ -179,6 +179,22 @@ def test_rates_battery_passes(tmp_path, capsys, loss):
     assert report["attainable"]["fit"]["fitted_constant"] < 1.0
     assert report["mixed"]["exact"]["lower_bound_ok"] is True
     assert report["mixed"]["wolfe"]["envelope_ok"] is True
+
+
+def test_rates_solves_one_lp(capsys, monkeypatch):
+    # the fixtures' regimes are pinned by the structure tests; the battery
+    # only needs the gamma LP of its weakly learnable fixture
+    calls = []
+    solve = structure.solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(structure, "solve", counting)
+    code, _, err = _run(capsys, "rates", "--loss", "logistic")
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_usage_errors_exit_one(capsys):

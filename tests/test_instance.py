@@ -128,6 +128,8 @@ def test_json_error_messages():
         from_json("{not json")
     with pytest.raises(ValueError):
         from_json('{"entries": [[0.0]]}')  # missing m, n
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        from_json('{"m": 1, "n": 1, "entries": [[{}]]}')  # non-numeric entry
 
 
 def test_csv_error_messages():

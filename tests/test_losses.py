@@ -31,16 +31,16 @@ LOG3 = make_loss(LOGISTIC, 3)
 
 
 def test_constants_exponential():
-    assert loss_constants(EXPONENTIAL, 1) == LossConstants(1.0, 1.0, False)
-    assert loss_constants(EXPONENTIAL, 500) == LossConstants(1.0, 1.0, False)
+    assert loss_constants(EXPONENTIAL, 1) == LossConstants(1.0, 1.0)
+    assert loss_constants(EXPONENTIAL, 500) == LossConstants(1.0, 1.0)
 
 
 def test_constants_logistic_small_m():
-    eta, beta, capped = loss_constants(LOGISTIC, 3)
+    eta, beta = loss_constants(LOGISTIC, 3)
     assert eta == pytest.approx(3.847186775703902, rel=1e-15)
     assert beta == 9.0
-    assert not capped
-    eta1, beta1, _ = loss_constants(LOGISTIC, 1)
+    assert not math.isinf(eta)
+    eta1, beta1 = loss_constants(LOGISTIC, 1)
     assert eta1 == pytest.approx(2.8853900817779268, rel=1e-15)
     assert beta1 == 3.0
 
@@ -49,8 +49,7 @@ def test_constants_logistic_overflow_capped():
     # 2^m overflows binary64 past m = 1023
     const = loss_constants(LOGISTIC, 1100)
     assert math.isinf(const.eta) and math.isinf(const.beta)
-    assert const.capped
-    assert make_loss(LOGISTIC, 1100).capped
+    assert math.isinf(make_loss(LOGISTIC, 1100).eta)
 
 
 def test_constants_validation():
@@ -179,8 +178,10 @@ def test_risk_values_and_gradient():
     np.testing.assert_allclose(rf.grad(np.zeros(3)), 0.5, rtol=1e-15)
     rf_exp = RiskFunction(EXP3, 3)
     assert rf_exp.value(np.zeros(3)) == 3.0
-    # large-margin exponential sums switch to the log domain
+    # large-margin exponential sums stay a plain sum, accurate to roundoff
     assert rf_exp.value([40.0, 0.0, -3.0]) == pytest.approx(2.3538526683702e17, rel=1e-13)
+    rf4 = RiskFunction(make_loss(EXPONENTIAL, 4), 4)
+    assert rf4.value(np.full(4, 400.0)) == pytest.approx(4 * math.exp(400.0), rel=1e-15)
 
 
 def test_risk_conjugate():
