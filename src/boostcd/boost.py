@@ -112,13 +112,17 @@ class IterateState:
     """Primal iterate with its derived quantities.  ``margins`` is A @ lam,
     either recomputed from lam or updated along the last step's column
     (see boost_step); the objective, dual weights and gradient are
-    computed from ``margins``."""
+    computed from ``margins``.  ``grad_inf`` is the gradient sup-norm,
+    the edge of the best weak learner, computed once with the state and
+    read by boost_step's stationarity check and closed-form step, the
+    stopping rules and the trace."""
 
     lam: np.ndarray
     margins: np.ndarray
     objective: float
     dual_weights: np.ndarray
     grad: np.ndarray
+    grad_inf: float
     t: int
 
 
@@ -130,7 +134,8 @@ def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
     grad = inst.a.T @ weights
     for arr in (lam, margins, weights, grad):
         arr.flags.writeable = False
-    return IterateState(lam, margins, float(rf.value(margins)), weights, grad, int(t))
+    return IterateState(lam, margins, float(rf.value(margins)), weights, grad,
+                        _norm_inf(grad), int(t))
 
 
 def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
@@ -194,10 +199,9 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     full, since selection needs all of it.  On every REFRESH_EVERY-th
     iterate the margins are recomputed as A @ lam instead, and a running
     value that drifted from them raises MarginDriftError."""
-    grad_inf = _norm_inf(state.grad)
-    if grad_inf <= cfg.grad_tol:
+    if state.grad_inf <= cfg.grad_tol:
         raise StationaryGradientError(
-            f"gradient sup-norm {grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
+            f"gradient sup-norm {state.grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
         )
     j, sign = select_coordinate(state.grad, cfg.selector)
     col = inst.a[:, j]
@@ -221,8 +225,8 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
                 "closed-form steps unavailable: the curvature constant "
                 "overflowed for this sample size; use the wolfe search"
             )
-        alpha = linesearch.closed_form_step(grad_inf, state.objective, rf.loss.eta)
-        res = StepResult(alpha, 0, linesearch.CLOSED_FORM)
+        alpha = linesearch.closed_form_step(state.grad_inf, state.objective, rf.loss.eta)
+        res = StepResult(alpha, 0)
     else:
         res = linesearch.exact_search(dphi, dphi0=slope0)
 
@@ -277,9 +281,6 @@ class Trace:
             )
         return "\n".join(lines) + "\n"
 
-    def lam(self) -> np.ndarray:
-        return self.final_state.lam
-
 
 def lam_from_steps(n: int, steps) -> np.ndarray:
     """Rebuild lam from (j, sign, alpha) triples, e.g. parsed trace rows."""
@@ -293,7 +294,7 @@ def _stop_status(state: IterateState, cfg: RunConfig) -> Optional[str]:
     """The stopping rule that holds at ``state``, in order of precedence."""
     if cfg.target_objective is not None and state.objective <= cfg.target_objective:
         return TARGET_REACHED
-    if _norm_inf(state.grad) <= cfg.grad_tol:
+    if state.grad_inf <= cfg.grad_tol:
         return GRADIENT_BELOW_TOL
     if state.t >= cfg.max_iters:
         return MAX_ITERS
@@ -313,12 +314,11 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
     """
     rf = RiskFunction(loss, inst.m)
     state = initial_state(inst, rf)
-    f0 = state.objective
-    g0 = _norm_inf(state.grad)
+    f0, g0 = state.objective, state.grad_inf
     records: List[TraceRecord] = []
     status = _stop_status(state, cfg)
     while status is None:
-        grad_inf = _norm_inf(state.grad)
+        grad_inf = state.grad_inf
         tic = time.perf_counter()
         out = boost_step(inst, rf, state, cfg)
         state = out.state

@@ -38,26 +38,18 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _run_config(args, max_iters=None) -> RunConfig:
-    return RunConfig(
-        grad_tol=args.grad_tol,
-        max_iters=max_iters if max_iters is not None else args.iters,
-        target_objective=args.target,
-        line_search=args.line_search,
-        wolfe=WolfeParams(c1=args.c1, c2=args.c2),
-    )
-
-
 def cmd_run(args) -> int:
     inst = read_instance(args.instance)
     loss = make_loss(args.loss, inst.m)
-    trace = run(inst, loss, _run_config(args))
+    trace = run(inst, loss, RunConfig(
+        grad_tol=args.grad_tol, max_iters=args.iters, target_objective=args.target,
+        line_search=args.line_search, wolfe=WolfeParams(c1=args.c1, c2=args.c2)))
     if args.out:
         atomic_write_text(args.out, trace.to_csv())
     state = trace.final_state
     print(
         f"status={trace.status} iterations={state.t} "
-        f"objective={state.objective!r} grad_inf={float(np.max(np.abs(state.grad)))!r}"
+        f"objective={state.objective!r} grad_inf={state.grad_inf!r}"
     )
     return 2 if trace.status == boost.MAX_ITERS else 0
 
@@ -117,10 +109,10 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # rate experiments
 
-def _fit_window(ts, subopt, t_min=5, floor=SUBOPT_FLOOR, t_max=None):
-    """Indices with t >= t_min (transients excluded), t <= t_max, and
-    suboptimality above the noise floor."""
-    keep = (ts >= t_min) & (subopt > floor)
+def _fit_window(ts, subopt, t_max=None):
+    """Indices with t >= 5 (transients excluded), t <= t_max, and
+    suboptimality above SUBOPT_FLOOR."""
+    keep = (ts >= 5) & (subopt > SUBOPT_FLOOR)
     if t_max is not None:
         keep &= ts <= t_max
     return np.flatnonzero(keep)
@@ -219,7 +211,7 @@ def _rates_mixed():
     wolfe = run(inst, loss, RunConfig(max_iters=200))
     ts_w, obj_w = _series(wolfe)
     sub_w = obj_w[1:] - fbar
-    idx = _fit_window(ts_w, sub_w, t_min=5, t_max=50)
+    idx = _fit_window(ts_w, sub_w, t_max=50)
     fit = _fit_inverse(ts_w[idx], sub_w[idx])
     c = fit["fitted_constant"]
     s200 = float(sub_w[-1])

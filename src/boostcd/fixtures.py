@@ -87,36 +87,21 @@ FIXTURES = {
     "rotated-mixed-3x2": rotated_mixed_3x2,
 }
 
-# Minimal risk per (fixture, loss kind), labeled by origin.  "exact" values
-# follow from the dual: the optimal weighting of mixed-3x2-like cores puts
-# g'(0) on each antisymmetric example, leaving 2*g(0); weakly learnable
-# instances have infimum 0.  "reference-run" values are frozen outputs of
-# a long descent (1e5 iteration cap, gradient tolerance 1e-13).
+# Minimal risk per (fixture, loss kind) of the fixtures ``cli rates`` fits.
+# mixed-3x2 follows from the dual: the optimal weighting puts g'(0) on each
+# antisymmetric example, leaving 2*g(0).  The attainable-slow values are
+# frozen outputs of a long descent (1e5 iteration cap, gradient tolerance
+# 1e-13); for exp its stationarity reduces to exp(u/2) = 2, so the optimum
+# is 2**1.2 + 2**-0.8, one ulp from the frozen float.
 REFERENCE_OPTIMA = {
-    ("mixed-3x2", "logistic"): (2.0 * LN2, "exact"),
-    ("mixed-3x2", "exp"): (2.0, "exact"),
-    ("rotated-mixed-3x2", "logistic"): (2.0 * LN2, "exact"),
-    ("rotated-mixed-3x2", "exp"): (2.0, "exact"),
-    ("confidence-4x3", "logistic"): (2.0 * LN2, "exact"),
-    ("confidence-4x3", "exp"): (2.0, "exact"),
-    ("weaklearn-3x3", "logistic"): (0.0, "exact"),
-    ("weaklearn-3x3", "exp"): (0.0, "exact"),
-    ("single-good", "logistic"): (0.0, "exact"),
-    ("single-good", "exp"): (0.0, "exact"),
-    ("attainable-pair", "logistic"): (2.0 * LN2, "exact"),
-    ("attainable-pair", "exp"): (2.0, "exact"),
-    ("attainable-tilted", "logistic"): (2.02019408898692, "reference-run"),
-    ("attainable-tilted", "exp"): (2.941713421083178, "reference-run"),
-    # attainable-slow stationarity for exp reduces to exp(u/2) = 2, so the
-    # optimum is 2**1.2 + 2**-0.8; the frozen float is the reference run's,
-    # one ulp from evaluating that expression directly.
-    ("attainable-slow", "logistic"): (1.9648183622933157, "reference-run"),
-    ("attainable-slow", "exp"): (2.8717458874925876, "reference-run"),
+    ("mixed-3x2", "logistic"): 2.0 * LN2,
+    ("attainable-slow", "logistic"): 1.9648183622933157,
+    ("attainable-slow", "exp"): 2.8717458874925876,
 }
 
 
 def reference_optimum(name: str, kind: str) -> float:
-    return REFERENCE_OPTIMA[(name, kind)][0]
+    return REFERENCE_OPTIMA[(name, kind)]
 
 
 def random_instance(rng: np.random.Generator, m: int, n: int,

@@ -25,6 +25,11 @@ EXACT = "exact"
 # see wolfe_search.
 ROUNDOFF_BAND = 64.0
 
+# Budgets shared by both searches: doublings of the upper bracket end, and
+# refinements of the bracket (bisections or secant steps) after it.
+MAX_DOUBLINGS = 200
+MAX_REFINEMENTS = 200
+
 
 class NotDescentDirectionError(ValueError):
     """phi'(0) >= 0: the ray does not descend."""
@@ -44,23 +49,21 @@ class LineSearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class WolfeParams:
+    """The decrease (c1) and curvature (c2) constants of wolfe_search,
+    with 0 < c1 < c2 < 1."""
+
     c1: float = 1.0 / 3.0
     c2: float = 1.0 / 2.0
-    max_bracket_doublings: int = 200
-    max_bisections: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.max_bracket_doublings < 1 or self.max_bisections < 1:
-            raise ValueError("iteration budgets must be >= 1")
 
 
 @dataclass(frozen=True)
 class StepResult:
     alpha: float
     evals: int
-    mode: str
 
 
 def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
@@ -74,8 +77,9 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     bisecting: a midpoint violating (1) becomes the new upper end,
     one satisfying (1) but not (2) the new lower end.  Requires
     phi'(0) < 0 and phi bounded below; termination on such functions
-    is guaranteed in exact arithmetic, and the two budgets guard
-    against floating-point stalls.
+    is guaranteed in exact arithmetic, and the budgets MAX_DOUBLINGS
+    and MAX_REFINEMENTS (bisections) guard against floating-point
+    stalls: running out of either raises LineSearchBudgetError.
 
     Near a minimizer the decrease (1) asks for can fall below the
     roundoff of phi itself: then every midpoint fails (1), or passes it
@@ -120,7 +124,7 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     evals += 1
     doublings = 0
     while decreased(hi, f_hi):
-        if doublings >= p.max_bracket_doublings:
+        if doublings >= MAX_DOUBLINGS:
             raise LineSearchBudgetError("bracketing budget exhausted", (0.0, hi))
         hi *= 2.0
         doublings += 1
@@ -129,14 +133,14 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
 
     lo = 0.0
     alpha = hi / 2.0
-    for _ in range(p.max_bisections):
+    for _ in range(MAX_REFINEMENTS):
         value = float(phi(alpha))
         evals += 1
         if abs(value - phi0) <= band:
             slope = float(dphi(alpha))
             evals += 1
             if p.c2 * dphi0 <= slope <= (2.0 * p.c1 - 1.0) * dphi0:
-                return StepResult(alpha, evals, WOLFE)
+                return StepResult(alpha, evals)
             if slope < p.c2 * dphi0:
                 lo = alpha
             else:
@@ -145,7 +149,7 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
             slope = float(dphi(alpha))
             evals += 1
             if slope >= p.c2 * dphi0:
-                return StepResult(alpha, evals, WOLFE)
+                return StepResult(alpha, evals)
             lo = alpha
         else:
             hi = alpha
@@ -171,8 +175,7 @@ def closed_form_step(grad_inf_norm: float, objective: float, eta: float) -> floa
     return grad_inf_norm / (eta * objective)
 
 
-def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
-                 max_doublings: int = 200, max_bisections: int = 200) -> StepResult:
+def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> StepResult:
     """Near-stationary step: alpha > 0 with |phi'(alpha)| <= tol.
 
     Doubles an upper end until the derivative is decisively positive
@@ -185,9 +188,16 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
     and gives superlinear convergence on smooth phi'.  A secant point
     that is not finite or not strictly inside (lo, hi), as when phi'
     overflows to +inf at the upper end, is replaced by the midpoint.
-    ``max_bisections`` caps the number of refinement evaluations.
+    MAX_REFINEMENTS caps the number of refinement evaluations.
 
-    If the derivative never turns positive within the doubling budget
+    The absolute ``tol`` can sit below the roundoff of phi' (a sum over m
+    terms at large m), so the root may lie between two adjacent doubles
+    at both of which |phi'| > tol.  When no double is left strictly
+    inside (lo, hi), the end with the smaller |phi'| is returned; phi' is
+    evaluated again at both ends for this, since the stored values may
+    have been halved.
+
+    If the derivative never turns positive within MAX_DOUBLINGS doublings
     the infimum is not attained along the ray and ``RayUnboundedError``
     is raised.
     """
@@ -206,7 +216,7 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
     evals += 1
     doublings = 0
     while d_hi <= tol:
-        if doublings >= max_doublings:
+        if doublings >= MAX_DOUBLINGS:
             raise RayUnboundedError("infimum not attained along ray")
         lo, d_lo = hi, d_hi
         hi *= 2.0
@@ -215,14 +225,17 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None,
         evals += 1
 
     replaced = 0  # +1 if the last refinement moved hi, -1 if lo
-    for _ in range(max_bisections):
+    for _ in range(MAX_REFINEMENTS):
         alpha = hi - d_hi * (hi - lo) / (d_hi - d_lo)
         if not lo < alpha < hi:  # also false for nan
             alpha = (lo + hi) / 2.0
+            if not lo < alpha < hi:  # lo and hi are adjacent doubles
+                alpha = min((lo, hi), key=lambda a: abs(float(dphi(a))))
+                return StepResult(alpha, evals + 2)
         d = float(dphi(alpha))
         evals += 1
         if abs(d) <= tol:
-            return StepResult(alpha, evals, EXACT)
+            return StepResult(alpha, evals)
         if d > 0.0:
             hi, d_hi = alpha, d
             if replaced == 1:

@@ -177,7 +177,7 @@ def test_trace_csv_round_trip_and_determinism():
     for line in lines[1:]:
         t, obj, gi, j, sign, alpha = line.split(",")
         steps.append((int(j), int(sign), float(alpha)))
-    assert np.array_equal(lam_from_steps(inst.n, steps), a.lam())
+    assert np.array_equal(lam_from_steps(inst.n, steps), a.final_state.lam)
 
 
 def test_lam_from_steps():

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
+from boostcd import linesearch
 from boostcd.linesearch import (
     LineSearchBudgetError,
     NotDescentDirectionError,
@@ -30,8 +31,6 @@ def test_wolfe_params_validation():
         WolfeParams(c1=0.0)
     with pytest.raises(ValueError):
         WolfeParams(c2=1.0)
-    with pytest.raises(ValueError):
-        WolfeParams(max_bisections=0)
 
 
 def test_wolfe_on_shifted_quadratic():
@@ -41,7 +40,6 @@ def test_wolfe_on_shifted_quadratic():
     dphi = lambda a: 2.0 * (a - 1.0)
     p = WolfeParams()
     res = wolfe_search(phi, dphi, p)
-    assert res.mode == "wolfe"
     assert res.alpha == 1.0
     assert 0.5 <= res.alpha <= 4.0 / 3.0
     assert all(_conditions(phi, dphi, res.alpha, p))
@@ -78,22 +76,23 @@ def test_wolfe_rejects_non_descent():
         wolfe_search(lambda a: 0.0, lambda a: -0.0)
 
 
-def test_wolfe_bracketing_budget():
+def test_wolfe_bracketing_budget(monkeypatch):
     # linear descent: the decrease condition holds at every doubling
+    monkeypatch.setattr(linesearch, "MAX_DOUBLINGS", 5)
     with pytest.raises(LineSearchBudgetError) as err:
-        wolfe_search(lambda a: -a, lambda a: -1.0,
-                     WolfeParams(max_bracket_doublings=5))
+        wolfe_search(lambda a: -a, lambda a: -1.0)
     lo, hi = err.value.interval
     assert lo == 0.0 and hi == 2.0 ** 5
 
 
-def test_wolfe_bisection_budget_carries_interval():
+def test_wolfe_bisection_budget_carries_interval(monkeypatch):
     # minimum crowded against 0: every early midpoint fails the
     # decrease test, so the budget runs out shrinking toward it
     phi = lambda a: 10.0 * (a - 0.1) ** 2
     dphi = lambda a: 20.0 * (a - 0.1)
+    monkeypatch.setattr(linesearch, "MAX_REFINEMENTS", 1)
     with pytest.raises(LineSearchBudgetError) as err:
-        wolfe_search(phi, dphi, WolfeParams(max_bisections=1))
+        wolfe_search(phi, dphi)
     lo, hi = err.value.interval
     assert lo == 0.0 and hi == 0.5
 
@@ -122,7 +121,6 @@ def test_exact_search_finds_stationary_point():
     # phi(a) = (a - ln 2)^2 / 2
     dphi = lambda a: a - math.log(2.0)
     res = exact_search(dphi)
-    assert res.mode == "exact"
     assert abs(res.alpha - math.log(2.0)) <= 1e-12
     assert abs(dphi(res.alpha)) <= 1e-12
 
@@ -143,11 +141,23 @@ def test_exact_search_unbounded_ray():
         exact_search(lambda a: -math.exp(-a))
 
 
-def test_exact_search_budget():
+def test_exact_search_budget(monkeypatch):
     # curved, so no refinement lands on the root exactly; tol 1e-18 is
     # below the roundoff of phi' there
+    monkeypatch.setattr(linesearch, "MAX_REFINEMENTS", 3)
     with pytest.raises(LineSearchBudgetError):
-        exact_search(lambda a: math.expm1(a) - 1.0, 1e-18, max_bisections=3)
+        exact_search(lambda a: math.expm1(a) - 1.0, 1e-18)
+
+
+def test_exact_search_returns_an_end_of_a_collapsed_bracket():
+    # phi' = 1e4 (a^2 - 2) changes by about 6e-12 between adjacent
+    # doubles near sqrt(2), more than tol, so no double meets |phi'| <=
+    # tol; the bracket shrinks to two adjacent doubles around the root
+    dphi = lambda a: 1e4 * (a * a - 2.0)
+    res = exact_search(dphi)
+    assert abs(res.alpha - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    ends = (math.nextafter(res.alpha, 0.0), math.nextafter(res.alpha, 2.0))
+    assert abs(dphi(res.alpha)) <= min(abs(dphi(a)) for a in ends)
 
 
 def test_exact_search_solves_a_linear_derivative_in_one_refinement():
@@ -193,8 +203,8 @@ def test_exact_search_tolerance_validation():
 
 
 def test_step_result_is_plain_data():
-    res = StepResult(1.5, 7, "wolfe")
-    assert (res.alpha, res.evals, res.mode) == (1.5, 7, "wolfe")
+    res = StepResult(1.5, 7)
+    assert (res.alpha, res.evals) == (1.5, 7)
 
 
 def test_wolfe_judges_steps_inside_the_roundoff_band_by_the_derivative():
@@ -214,3 +224,21 @@ def test_wolfe_judges_steps_inside_the_roundoff_band_by_the_derivative():
     # the minimizer fourfold; the derivative there, 3 |phi'(0)|, rejects it
     res = wolfe_search(phi, dphi)
     assert res.alpha == a_star
+
+
+def test_wolfe_raises_the_lower_end_past_too_steep_midpoints():
+    # phi' = -1 up to 1.5, then rises steeply: the midpoints 1 and 1.5
+    # pass the decrease test but are still too steep, so each becomes the
+    # lower end; 1.75 and 1.625 overshoot, and 1.5625 passes both tests
+    shape = lambda a: -a + 100.0 * max(0.0, a - 1.5) ** 2
+    slope = lambda a: -1.0 + 200.0 * max(0.0, a - 1.5)
+    p = WolfeParams()
+    res = wolfe_search(shape, slope, p)
+    assert res.alpha == 1.5625
+    assert all(_conditions(shape, slope, res.alpha, p))
+    # scaled by 1e-12 onto 1000, every midpoint changes phi by less than
+    # the roundoff band (1.4e-11), so phi' alone decides, moving the lower
+    # end at 1 and 1.5 as before, until the approximate conditions hold
+    res = wolfe_search(lambda a: 1000.0 + 1e-12 * shape(a), lambda a: 1e-12 * slope(a))
+    assert res.alpha == 1.50390625
+    assert -0.5 <= slope(res.alpha) <= 1.0 / 3.0

@@ -204,6 +204,12 @@ def test_dual_certificate_unavailable_for_mixed_sign_kernel():
     inst = make_instance([[0.5], [1.0]])
     loss = make_loss(LOGISTIC, inst.m)
     assert dual_certificate(inst, loss, _state(inst, loss, [0.0])) is None
+    # here the projection (0.26, 0.52, 0.26, 1.046) lies in the dual cone,
+    # but above 1, where the logistic conjugate is +inf
+    inst = make_instance([[-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]])
+    loss = make_loss(LOGISTIC, inst.m)
+    lam = [4.413361789597475, 6.617463712258851]
+    assert dual_certificate(inst, loss, _state(inst, loss, lam)) is None
 
 
 def _projection_cases():
