@@ -13,15 +13,11 @@ from .boost import (
 )
 from .instance import (
     BoostInstance,
-    LabeledSample,
-    build_instance,
     make_instance,
-    margins,
     read_instance,
-    training_error,
     write_instance,
 )
-from .linesearch import StepResult, WolfeParams, closed_form_step, exact_search, wolfe_search
+from .linesearch import StepResult, closed_form_step, exact_search, wolfe_search
 from .losses import (
     EXPONENTIAL,
     LOGISTIC,
@@ -32,7 +28,6 @@ from .losses import (
     loss_constants,
     loss_eval,
     loss_grad,
-    loss_hess,
     make_loss,
 )
 from .structure import (
@@ -49,12 +44,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxSelector", "BoostInstance", "DualCertificate", "EXPONENTIAL",
-    "IterateState", "LOGISTIC", "LabeledSample", "LossSpec", "RiskFunction",
-    "RunConfig", "StepResult", "StructureReport", "Trace", "WolfeParams",
-    "analyze", "boost_step", "build_instance", "closed_form_step",
-    "conj_eval", "conj_grad", "decompose", "dual_certificate", "exact_search",
-    "gamma_classical", "hard_core", "initial_state", "loss_constants",
-    "loss_eval", "loss_grad", "loss_hess", "make_instance", "make_loss",
-    "margins", "read_instance", "run", "select_coordinate", "training_error",
+    "IterateState", "LOGISTIC", "LossSpec", "RiskFunction", "RunConfig",
+    "StepResult", "StructureReport", "Trace", "analyze", "boost_step",
+    "closed_form_step", "conj_eval", "conj_grad", "decompose",
+    "dual_certificate", "exact_search", "gamma_classical", "hard_core",
+    "initial_state", "loss_constants", "loss_eval", "loss_grad",
+    "make_instance", "make_loss", "read_instance", "run", "select_coordinate",
     "wolfe_search", "write_instance",
 ]

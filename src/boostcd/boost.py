@@ -15,15 +15,16 @@ recomputed from lam and checked against the running ones.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import linesearch
 from .instance import BoostInstance
-from .linesearch import StepResult, WolfeParams
+from .linesearch import StepResult
 from .losses import LossSpec, RiskFunction
 
 GRADIENT_BELOW_TOL = "gradient_below_tol"
@@ -166,7 +167,6 @@ class RunConfig:
     max_iters: int = 1000
     target_objective: Optional[float] = None
     line_search: str = linesearch.WOLFE
-    wolfe: WolfeParams = field(default_factory=WolfeParams)
     selector: Optional[ApproxSelector] = None
 
     def __post_init__(self):
@@ -174,6 +174,8 @@ class RunConfig:
             raise ValueError(
                 f"line_search must be one of {LINE_SEARCHES}, got {self.line_search!r}"
             )
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not (self.grad_tol >= 0 and self.max_iters >= 0):
             raise ValueError("grad_tol and max_iters must be nonnegative")
         if self.target_objective is not None and np.isnan(self.target_objective):
@@ -216,9 +218,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         return s * float(col @ rf.grad(base + (s * alpha) * col))
 
     if cfg.line_search == linesearch.WOLFE:
-        res = linesearch.wolfe_search(
-            phi, dphi, cfg.wolfe, phi0=state.objective, dphi0=slope0
-        )
+        res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
     elif cfg.line_search == linesearch.CLOSED_FORM:
         if not np.isfinite(rf.loss.eta):
             raise ValueError(
@@ -283,10 +283,19 @@ class Trace:
 
 
 def lam_from_steps(n: int, steps) -> np.ndarray:
-    """Rebuild lam from (j, sign, alpha) triples, e.g. parsed trace rows."""
+    """Rebuild lam from (j, sign, alpha) triples, e.g. parsed trace rows.
+    A step that is not a column index in 0..n-1, a sign of +-1 and a
+    finite alpha raises ValueError naming its 1-based row."""
     lam = np.zeros(int(n))
-    for j, sign, alpha in steps:
-        lam[int(j)] += float(sign) * float(alpha)
+    for row, (j, sign, alpha) in enumerate(steps, start=1):
+        try:
+            j, sign, alpha = int(j), float(sign), float(alpha)
+        except (TypeError, ValueError) as exc:  # e.g. a missing or non-numeric field
+            raise ValueError(f"step row {row}: {exc}") from None
+        if not (0 <= j < lam.size and sign in (-1.0, 1.0) and math.isfinite(alpha)):
+            raise ValueError(f"step row {row}: (j, sign, alpha) = ({j}, {sign!r}, {alpha!r}) "
+                             f"needs 0 <= j < {lam.size}, sign +-1 and a finite alpha")
+        lam[j] += sign * alpha
     return lam
 
 

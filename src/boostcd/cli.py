@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 from . import boost, fixtures, structure
 from .boost import RunConfig, Trace, lam_from_steps, run
 from .instance import atomic_write_text, read_instance, to_json, write_instance
-from .linesearch import WolfeParams
+from .linesearch import C1, C2
 from .losses import LOGISTIC, KINDS, make_loss, RiskFunction
 
 SUBOPT_FLOOR = 5e-12  # below this, reference-optimum noise dominates fits
@@ -43,7 +42,7 @@ def cmd_run(args) -> int:
     loss = make_loss(args.loss, inst.m)
     trace = run(inst, loss, RunConfig(
         grad_tol=args.grad_tol, max_iters=args.iters, target_objective=args.target,
-        line_search=args.line_search, wolfe=WolfeParams(c1=args.c1, c2=args.c2)))
+        line_search=args.line_search))
     if args.out:
         atomic_write_text(args.out, trace.to_csv())
     state = trace.final_state
@@ -68,8 +67,8 @@ def cmd_certify(args) -> int:
         raise ValueError("certify needs exactly one of --lam or --trace")
     if args.lam is not None:
         lam = np.array([float(tok) for tok in args.lam.split(",")])
-        if lam.size != inst.n:
-            raise ValueError(f"--lam needs {inst.n} comma-separated values")
+        if lam.size != inst.n or not np.all(np.isfinite(lam)):
+            raise ValueError(f"--lam needs {inst.n} comma-separated finite values")
     else:
         with open(args.trace) as fh:
             rows = list(csv.DictReader(fh))
@@ -138,9 +137,7 @@ def _fit_inverse(ts, subopt):
 
 
 def _series(trace: Trace):
-    objectives = trace.objectives()
-    ts = np.arange(1, len(objectives))
-    return ts, objectives
+    return np.arange(1, len(trace.records) + 1), trace.objectives()
 
 
 def _rates_weak_learnable():
@@ -149,10 +146,11 @@ def _rates_weak_learnable():
     loss = make_loss("exp", inst.m)
     f0 = inst.m * 1.0
     target = 1e-6
-    cap = 10 * math.ceil(6.0 / gamma ** 2 * math.log(f0 / target))
+    decrease = C1 * (1.0 - C2) * gamma ** 2
+    cap = 10 * math.ceil(math.log(f0 / target) / decrease)
     trace = run(inst, loss, RunConfig(max_iters=cap, target_objective=target))
     ts, objectives = _series(trace)
-    ratio_bound = 1.0 - gamma ** 2 / 6.0
+    ratio_bound = 1.0 - decrease
     per_iter_ok = bool(
         np.all(objectives[1:] <= objectives[:-1] * ratio_bound + 1e-9)
     )
@@ -176,7 +174,7 @@ def _rates_weak_learnable():
 def _rates_attainable(kind: str):
     inst = fixtures.attainable_slow()
     loss = make_loss(kind, inst.m)
-    fbar = fixtures.reference_optimum("attainable-slow", kind)
+    fbar = fixtures.REFERENCE_OPTIMA[("attainable-slow", kind)]
     trace = run(inst, loss, RunConfig(max_iters=200, grad_tol=1e-12))
     ts, objectives = _series(trace)
     subopt = objectives[1:] - fbar
@@ -201,7 +199,7 @@ def _rates_attainable(kind: str):
 def _rates_mixed():
     inst = fixtures.mixed_3x2()
     loss = make_loss(LOGISTIC, inst.m)
-    fbar = fixtures.reference_optimum("mixed-3x2", "logistic")
+    fbar = fixtures.REFERENCE_OPTIMA[("mixed-3x2", "logistic")]
 
     exact = run(inst, loss, RunConfig(max_iters=200, line_search="exact"))
     ts_e, obj_e = _series(exact)
@@ -266,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_loss(p_run)
     p_run.add_argument("--line-search", choices=boost.LINE_SEARCHES,
                        default=RunConfig.line_search)
-    p_run.add_argument("--c1", type=float, default=WolfeParams.c1)
-    p_run.add_argument("--c2", type=float, default=WolfeParams.c2)
     p_run.add_argument("--grad-tol", type=float, default=RunConfig.grad_tol)
     p_run.add_argument("--iters", type=int, default=RunConfig.max_iters)
     p_run.add_argument("--target", type=float, default=None)
@@ -297,8 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a fixture or random instance")
     p_gen.add_argument("name", help="fixture name, or 'random'")
     p_gen.add_argument("--regime", default=structure.WEAK_LEARNABLE,
-                       choices=(structure.WEAK_LEARNABLE, structure.ATTAINABLE,
-                                structure.MIXED))
+                       choices=structure.REGIMES)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--n", type=int, default=None)

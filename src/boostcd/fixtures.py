@@ -100,10 +100,6 @@ REFERENCE_OPTIMA = {
 }
 
 
-def reference_optimum(name: str, kind: str) -> float:
-    return REFERENCE_OPTIMA[(name, kind)]
-
-
 def random_instance(rng: np.random.Generator, m: int, n: int,
                     entries: str = "uniform") -> BoostInstance:
     if entries == "uniform":
@@ -122,24 +118,18 @@ def random_by_regime(regime: str, seed: int, m: int | None = None,
     """Rejection-sample a random instance of the requested regime.
 
     Sizes default to uniform draws in 2..5 examples / 2..6 learners.
-    Classification is by the hard core, so the draw is consistent with
-    :func:`boostcd.structure.analyze`.  Gives up after MAX_TRIES draws.
+    Classification applies :func:`boostcd.structure.regime_of` to the hard
+    core, as :func:`boostcd.structure.analyze` does.  Gives up after
+    MAX_TRIES draws.
     """
-    if regime not in (structure.WEAK_LEARNABLE, structure.ATTAINABLE, structure.MIXED):
+    if regime not in structure.REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         mm = int(m) if m is not None else int(rng.integers(2, 6))
         nn = int(n) if n is not None else int(rng.integers(2, 7))
         inst = random_instance(rng, mm, nn, entries)
-        core = structure.hard_core(inst)
-        if not core:
-            found = structure.WEAK_LEARNABLE
-        elif len(core) == mm:
-            found = structure.ATTAINABLE
-        else:
-            found = structure.MIXED
-        if found == regime:
+        if structure.regime_of(len(structure.hard_core(inst)), mm) == regime:
             return inst
     raise RuntimeError(
         f"no {regime} instance found in {MAX_TRIES} draws (seed {seed})"

@@ -73,47 +73,6 @@ def make_instance(entries) -> BoostInstance:
     return BoostInstance(np.asarray(entries, dtype=float))
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """Labels y in {-1, +1}^m and confidence-rated predictions in [-1, 1]^(m x n)."""
-
-    labels: np.ndarray
-    predictions: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.labels, dtype=float)
-        h = np.asarray(self.predictions, dtype=float)
-        if y.ndim != 1 or h.ndim != 2 or h.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"need labels (m,) and predictions (m, n); got {y.shape} and {h.shape}"
-            )
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        if not np.all(np.isfinite(h) & (np.abs(h) <= 1.0)):
-            raise ValueError("predictions must be finite and in [-1, 1]")
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "predictions", h)
-
-
-def build_instance(sample: LabeledSample) -> BoostInstance:
-    """Fold labels into predictions: a_ij = -y_i * h_j(x_i)."""
-    return BoostInstance(-sample.labels[:, None] * sample.predictions)
-
-
-def margins(inst: BoostInstance, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (inst.n,):
-        raise ValueError(f"lam must have shape ({inst.n},), got {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("lam must be finite")
-    return inst.a @ lam
-
-
-def training_error(inst: BoostInstance, lam) -> float:
-    """Fraction of examples not strictly beaten: margin >= 0 counts as an error."""
-    return float(np.count_nonzero(margins(inst, lam) >= 0.0)) / inst.m
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -4,11 +4,11 @@ Three modes, all operating on the one-dimensional restriction
 phi(alpha) = f(x + alpha * v) of a convex objective:
 
 * ``wolfe_search``   bracketing/bisection for the sufficient-decrease and
-                     curvature conditions,
+                     curvature conditions with the constants C1 and C2,
 * ``closed_form_step``  a conservative explicit step from the level-set
                      curvature constant eta,
-* ``exact_search``   Illinois regula falsi on phi' to a near-stationary
-                     point, used by the convergence experiments.
+* ``exact_search``   Illinois regula falsi on phi' to |phi'| <= EXACT_TOL,
+                     used by the convergence experiments.
 """
 
 from __future__ import annotations
@@ -20,6 +20,15 @@ WOLFE = "wolfe"
 CLOSED_FORM = "closed"
 EXACT = "exact"
 
+
+# The paper's decrease (C1) and curvature (C2) constants of wolfe_search: a
+# Wolfe step contracts the risk by 1 - C1 (1 - C2) gamma^2 = 1 - gamma^2 / 6
+# on a weakly learnable instance with edge gamma, as ``boostcd rates`` checks.
+C1 = 1.0 / 3.0
+C2 = 1.0 / 2.0
+
+# |phi'| at which exact_search accepts a step.
+EXACT_TOL = 1e-12
 
 # Half-width of the roundoff band around phi(0), in units of eps * |phi(0)|;
 # see wolfe_search.
@@ -48,30 +57,17 @@ class LineSearchBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WolfeParams:
-    """The decrease (c1) and curvature (c2) constants of wolfe_search,
-    with 0 < c1 < c2 < 1."""
-
-    c1: float = 1.0 / 3.0
-    c2: float = 1.0 / 2.0
-
-    def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-
-
-@dataclass(frozen=True)
 class StepResult:
     alpha: float
     evals: int
 
 
-def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
-                 phi0: float | None = None, dphi0: float | None = None) -> StepResult:
+def wolfe_search(phi, dphi, *, phi0: float | None = None,
+                 dphi0: float | None = None) -> StepResult:
     """Find a step satisfying both progress conditions
 
-        (1)  phi(alpha) <= phi(0) + alpha * c1 * phi'(0)     (decrease)
-        (2)  phi'(alpha) >= c2 * phi'(0)                     (curvature)
+        (1)  phi(alpha) <= phi(0) + alpha * C1 * phi'(0)     (decrease)
+        (2)  phi'(alpha) >= C2 * phi'(0)                     (curvature)
 
     by doubling an upper bracket while (1) still holds there, then
     bisecting: a midpoint violating (1) becomes the new upper end,
@@ -88,7 +84,7 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     where (1) cannot be resolved, is judged by phi' alone, on the
     approximate Wolfe conditions of Hager & Zhang (2005):
 
-        c2 * phi'(0) <= phi'(alpha) <= (2 c1 - 1) * phi'(0),
+        C2 * phi'(0) <= phi'(alpha) <= (2 C1 - 1) * phi'(0),
 
     which for a quadratic phi are (1) and (2); one that fails them
     moves the end that phi' points away from.  The band's width: phi is
@@ -104,7 +100,6 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     ``phi0``/``dphi0`` may pass along already-computed values of
     phi(0) and phi'(0).
     """
-    p = params if params is not None else WolfeParams()
     evals = 0
     if phi0 is None:
         phi0 = float(phi(0.0))
@@ -117,7 +112,7 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
     band = ROUNDOFF_BAND * sys.float_info.epsilon * abs(phi0)
 
     def decreased(alpha, value):
-        return value <= phi0 + alpha * p.c1 * dphi0
+        return value <= phi0 + alpha * C1 * dphi0
 
     hi = 1.0
     f_hi = float(phi(hi))
@@ -139,16 +134,16 @@ def wolfe_search(phi, dphi, params: WolfeParams | None = None, *,
         if abs(value - phi0) <= band:
             slope = float(dphi(alpha))
             evals += 1
-            if p.c2 * dphi0 <= slope <= (2.0 * p.c1 - 1.0) * dphi0:
+            if C2 * dphi0 <= slope <= (2.0 * C1 - 1.0) * dphi0:
                 return StepResult(alpha, evals)
-            if slope < p.c2 * dphi0:
+            if slope < C2 * dphi0:
                 lo = alpha
             else:
                 hi = alpha
         elif decreased(alpha, value):
             slope = float(dphi(alpha))
             evals += 1
-            if slope >= p.c2 * dphi0:
+            if slope >= C2 * dphi0:
                 return StepResult(alpha, evals)
             lo = alpha
         else:
@@ -175,14 +170,14 @@ def closed_form_step(grad_inf_norm: float, objective: float, eta: float) -> floa
     return grad_inf_norm / (eta * objective)
 
 
-def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> StepResult:
-    """Near-stationary step: alpha > 0 with |phi'(alpha)| <= tol.
+def exact_search(dphi, *, dphi0: float | None = None) -> StepResult:
+    """Near-stationary step: alpha > 0 with |phi'(alpha)| <= EXACT_TOL.
 
     Doubles an upper end until the derivative is decisively positive
-    (> tol), then shrinks the bracket [lo, hi] with the Illinois variant
-    of regula falsi (Dowell & Jarratt 1971): each refinement evaluates
-    phi' once, at the secant point of phi' through both ends, and
-    replaces the end whose derivative has the same sign.  When the same
+    (> EXACT_TOL), then shrinks the bracket [lo, hi] with the Illinois
+    variant of regula falsi (Dowell & Jarratt 1971): each refinement
+    evaluates phi' once, at the secant point of phi' through both ends,
+    and replaces the end whose derivative has the same sign.  When the same
     end is replaced twice in a row, the stored derivative at the other
     end is halved, which keeps the secant from creeping in from one side
     and gives superlinear convergence on smooth phi'.  A secant point
@@ -190,9 +185,9 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> Ste
     overflows to +inf at the upper end, is replaced by the midpoint.
     MAX_REFINEMENTS caps the number of refinement evaluations.
 
-    The absolute ``tol`` can sit below the roundoff of phi' (a sum over m
-    terms at large m), so the root may lie between two adjacent doubles
-    at both of which |phi'| > tol.  When no double is left strictly
+    The absolute EXACT_TOL can sit below the roundoff of phi' (a sum over
+    m terms at large m), so the root may lie between two adjacent doubles
+    at both of which |phi'| > EXACT_TOL.  When no double is left strictly
     inside (lo, hi), the end with the smaller |phi'| is returned; phi' is
     evaluated again at both ends for this, since the stored values may
     have been halved.
@@ -201,8 +196,6 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> Ste
     the infimum is not attained along the ray and ``RayUnboundedError``
     is raised.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     evals = 0
     if dphi0 is None:
         dphi0 = float(dphi(0.0))
@@ -215,7 +208,7 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> Ste
     d_hi = float(dphi(hi))
     evals += 1
     doublings = 0
-    while d_hi <= tol:
+    while d_hi <= EXACT_TOL:
         if doublings >= MAX_DOUBLINGS:
             raise RayUnboundedError("infimum not attained along ray")
         lo, d_lo = hi, d_hi
@@ -234,7 +227,7 @@ def exact_search(dphi, tol: float = 1e-12, *, dphi0: float | None = None) -> Ste
                 return StepResult(alpha, evals + 2)
         d = float(dphi(alpha))
         evals += 1
-        if abs(d) <= tol:
+        if abs(d) <= EXACT_TOL:
             return StepResult(alpha, evals)
         if d > 0.0:
             hi, d_hi = alpha, d

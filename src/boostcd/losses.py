@@ -11,7 +11,8 @@ Both losses additionally satisfy two level-set inequalities that the
 step-size rules rely on: g'' <= eta * g and g <= beta * g', valid on the
 initial sublevel set {x : g(x) <= m * g(0)}.  For the exponential loss
 eta = beta = 1 exactly; for the logistic loss the constants grow with
-the sample size m and are deliberately conservative.
+the sample size m and are deliberately conservative.  No step rule
+evaluates g'' itself, so it stays internal (``_gpp``).
 """
 
 from __future__ import annotations
@@ -125,10 +126,6 @@ def _gstar(kind, phi):
     return np.where(inside, val, np.inf)
 
 
-def _gstar_grad_domain(kind):
-    return (0.0, math.inf) if kind == EXPONENTIAL else (0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # public scalar operations
 
@@ -149,11 +146,6 @@ def loss_grad(loss: LossSpec, x: float) -> float:
     return float(_gp(loss.kind, _as_finite_scalar(x)))
 
 
-def loss_hess(loss: LossSpec, x: float) -> float:
-    """g''(x); positive, though it may underflow to 0 far in the tails."""
-    return float(_gpp(loss.kind, _as_finite_scalar(x)))
-
-
 def conj_eval(loss: LossSpec, phi: float) -> float:
     """g*(phi) as an extended real: +inf outside the conjugate domain."""
     return float(_gstar(loss.kind, float(phi)))
@@ -167,7 +159,7 @@ def conj_grad(loss: LossSpec, phi: float) -> float:
     arguments raise, since the derivative is unbounded there.
     """
     phi = float(phi)
-    lo, hi = _gstar_grad_domain(loss.kind)
+    lo, hi = (0.0, math.inf) if loss.kind == EXPONENTIAL else (0.0, 1.0)
     if not (lo < phi < hi):
         raise ValueError(
             f"conjugate derivative undefined at phi={phi}; "

@@ -56,6 +56,7 @@ WITNESS_TOL = 1e-7
 WEAK_LEARNABLE = "weak_learnable"
 ATTAINABLE = "attainable"
 MIXED = "mixed"
+REGIMES = (WEAK_LEARNABLE, ATTAINABLE, MIXED)
 
 
 class InvariantViolationError(RuntimeError):
@@ -113,6 +114,11 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
             if np.any(in_core):
                 lam = _kernel_projection(b_core.T, lam)
     return [int(i) for i in np.flatnonzero(core)], psi, lam
+
+
+def regime_of(core_size: int, m: int) -> str:
+    """The regime of an m-example instance with a hard core of ``core_size``."""
+    return WEAK_LEARNABLE if core_size == 0 else ATTAINABLE if core_size == m else MIXED
 
 
 def hard_core(inst: BoostInstance) -> list:
@@ -338,7 +344,7 @@ def analyze(inst: BoostInstance) -> StructureReport:
     witness is checked by :func:`verify_witness`; a failed one raises
     InvariantViolationError."""
     core0, off0, lam, psi = _certified_split(inst)
-    regime = WEAK_LEARNABLE if not core0 else ATTAINABLE if not off0 else MIXED
+    regime = regime_of(len(core0), inst.m)
     gamma = gamma_classical(inst) if regime == WEAK_LEARNABLE else 0.0
     return StructureReport(
         m=inst.m,

@@ -186,6 +186,21 @@ def test_lam_from_steps():
     assert np.array_equal(lam_from_steps(2, []), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [
+    ("-1", "1", "0.5"),  # would wrap to the last column
+    ("2", "1", "0.5"),
+    ("0", "0", "0.5"),
+    ("0", "2", "0.5"),
+    ("0", "1", "nan"),
+    ("0", "-1", "inf"),
+    ("0", "1", None),  # a short CSV row
+    ("x", "1", "0.5"),
+])
+def test_lam_from_steps_rejects_malformed_steps(bad):
+    with pytest.raises(ValueError, match="step row 2: "):
+        lam_from_steps(2, [("1", "1", "0.25"), bad])
+
+
 def test_closed_form_rejects_overflowed_curvature():
     # at m = 1100 the logistic curvature constant overflows to inf and
     # closed-form steps would be zero; the step must refuse instead
@@ -229,6 +244,10 @@ def test_run_config_validation():
         RunConfig(grad_tol=-1.0)
     with pytest.raises(ValueError):
         RunConfig(max_iters=-1)
+    for not_int in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RunConfig(max_iters=not_int)
+    assert RunConfig(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         RunConfig(grad_tol=math.nan)
     with pytest.raises(ValueError):

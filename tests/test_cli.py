@@ -157,6 +157,21 @@ def test_certify_flag_validation(tmp_path, capsys):
     assert code == 1 and "error:" in err
     code, _, err = _run(capsys, "certify", str(path), "--lam", "1")
     assert code == 1 and "error:" in err  # wrong arity
+    for lam in ("nan,1", "1,inf"):
+        code, _, err = _run(capsys, "certify", str(path), "--lam", lam)
+        assert code == 1 and "error: --lam" in err
+
+
+def test_certify_rejects_a_malformed_trace_row(tmp_path, capsys):
+    # j = -1 once wrapped to the last column and certified the lam of j = 1
+    path = tmp_path / "mixed.json"
+    write_instance(fixtures.mixed_3x2(), path)
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t,objective,grad_inf,j,sign,alpha\n"
+                          "1,1.0,0.5,0,1,0.5\n2,0.9,0.5,-1,1,0.5\n")
+    code, out, err = _run(capsys, "certify", str(path), "--trace", str(trace_path))
+    assert code == 1 and out == ""
+    assert "error: step row 2: (j, sign, alpha) = (-1," in err
 
 
 def test_certify_unavailable(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Instance matrix: validation, label folding, serialization round-trips."""
+"""Instance matrix: validation and serialization round-trips."""
 
 import json
 import math
@@ -10,19 +10,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from boostcd.instance import (
-    BoostInstance,
     InstanceValidationError,
-    LabeledSample,
     atomic_write_text,
-    build_instance,
     from_csv,
     from_json,
     make_instance,
-    margins,
     read_instance,
     to_csv,
     to_json,
-    training_error,
     write_instance,
 )
 
@@ -57,33 +52,6 @@ def test_row_subset():
     np.testing.assert_array_equal(sub.a, [[-1.0], [1.0]])
     with pytest.raises(ValueError):
         inst.row_subset([])
-
-
-def test_build_instance_folds_labels():
-    sample = LabeledSample(labels=[1.0, -1.0], predictions=[[0.5], [0.25]])
-    inst = build_instance(sample)
-    np.testing.assert_array_equal(inst.a, [[-0.5], [0.25]])
-
-
-def test_labeled_sample_validation():
-    with pytest.raises(ValueError):
-        LabeledSample(labels=[1.0, 0.5], predictions=[[0.0], [0.0]])
-    with pytest.raises(ValueError):
-        LabeledSample(labels=[1.0], predictions=[[2.0]])
-    with pytest.raises(ValueError):
-        LabeledSample(labels=[1.0, -1.0], predictions=[[0.0]])
-
-
-def test_margins_and_training_error():
-    inst = make_instance([[-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    np.testing.assert_allclose(margins(inst, [1.0, 1.0]), [0.0, 0.0, -2.0])
-    # margin >= 0 counts as an error: the two zero-margin examples
-    assert training_error(inst, [1.0, 1.0]) == pytest.approx(2.0 / 3.0)
-    assert training_error(inst, [0.0, 0.0]) == 1.0
-    with pytest.raises(ValueError):
-        margins(inst, [1.0])
-    with pytest.raises(ValueError):
-        margins(inst, [math.inf, 0.0])
 
 
 AWKWARD = [[0.1, -1.0, 1.0 / 3.0],

@@ -19,6 +19,7 @@ from boostcd.losses import KINDS, LOGISTIC, RiskFunction, make_loss
 from boostcd.structure import (
     ATTAINABLE,
     MIXED,
+    REGIMES,
     WEAK_LEARNABLE,
     InvariantViolationError,
     analyze,
@@ -26,6 +27,7 @@ from boostcd.structure import (
     dual_certificate,
     gamma_classical,
     hard_core,
+    regime_of,
     verify_witness,
 )
 from references import (
@@ -71,6 +73,16 @@ def test_fixture_classification(name):
         assert rep.gamma_classical == 1.0
     else:
         assert rep.gamma_classical == 0.0
+
+
+def test_regime_rule():
+    # the one rule analyze, fixtures.random_by_regime and gen --regime read
+    assert REGIMES == (WEAK_LEARNABLE, ATTAINABLE, MIXED)
+    assert [regime_of(k, 4) for k in range(5)] == [
+        WEAK_LEARNABLE, MIXED, MIXED, MIXED, ATTAINABLE]
+    for regime in REGIMES:
+        inst = fixtures.random_by_regime(regime, seed=0, entries="ternary")
+        assert analyze(inst).regime == regime
 
 
 def test_report_witnesses_verify():
