@@ -25,7 +25,6 @@ from .losses import (
     RiskFunction,
     conj_eval,
     conj_grad,
-    loss_constants,
     loss_eval,
     loss_grad,
     make_loss,
@@ -48,7 +47,7 @@ __all__ = [
     "StepResult", "StructureReport", "Trace", "analyze", "boost_step",
     "closed_form_step", "conj_eval", "conj_grad", "decompose",
     "dual_certificate", "exact_search", "gamma_classical", "hard_core",
-    "initial_state", "loss_constants", "loss_eval", "loss_grad",
-    "make_instance", "make_loss", "read_instance", "run", "select_coordinate",
-    "wolfe_search", "write_instance",
+    "initial_state", "loss_eval", "loss_grad", "make_instance", "make_loss",
+    "read_instance", "run", "select_coordinate", "wolfe_search",
+    "write_instance",
 ]

@@ -66,9 +66,13 @@ def cmd_certify(args) -> int:
     if (args.lam is None) == (args.trace is None):
         raise ValueError("certify needs exactly one of --lam or --trace")
     if args.lam is not None:
-        lam = np.array([float(tok) for tok in args.lam.split(",")])
+        bad = ValueError(f"--lam needs {inst.n} comma-separated finite values")
+        try:
+            lam = np.array([float(tok) for tok in args.lam.split(",")])
+        except ValueError:
+            raise bad from None
         if lam.size != inst.n or not np.all(np.isfinite(lam)):
-            raise ValueError(f"--lam needs {inst.n} comma-separated finite values")
+            raise bad
     else:
         with open(args.trace) as fh:
             rows = list(csv.DictReader(fh))
@@ -142,7 +146,7 @@ def _series(trace: Trace):
 
 def _rates_weak_learnable():
     inst = fixtures.weaklearn_3x3()
-    gamma = structure.gamma_classical(inst)
+    gamma = structure._gamma_lp(inst)
     loss = make_loss("exp", inst.m)
     f0 = inst.m * 1.0
     target = 1e-6

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import structure
 from .instance import BoostInstance, make_instance
+from .losses import LN2
 
-LN2 = math.log(2.0)
 MAX_TRIES = 2000
 
 

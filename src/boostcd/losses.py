@@ -7,19 +7,18 @@ risk is the coordinate-wise sum f(x) = sum_i g(x_i); its Fenchel
 conjugate f*(psi) = sum_i g*(psi_i) prices nonnegative example
 weightings and drives the dual certificates in :mod:`boostcd.structure`.
 
-Both losses additionally satisfy two level-set inequalities that the
-step-size rules rely on: g'' <= eta * g and g <= beta * g', valid on the
-initial sublevel set {x : g(x) <= m * g(0)}.  For the exponential loss
-eta = beta = 1 exactly; for the logistic loss the constants grow with
-the sample size m and are deliberately conservative.  No step rule
-evaluates g'' itself, so it stays internal (``_gpp``).
+Both losses additionally satisfy the level-set inequality that the
+step-size rules rely on: g'' <= eta * g, valid on the initial sublevel
+set {x : g(x) <= m * g(0)}.  For the exponential loss eta = 1 exactly;
+for the logistic loss it grows with the sample size m and is
+deliberately conservative.  No step rule evaluates g'' itself, so it
+stays internal (``_gpp``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit, xlogy
@@ -31,52 +30,36 @@ KINDS = (EXPONENTIAL, LOGISTIC)
 LN2 = math.log(2.0)
 
 
-class LossConstants(NamedTuple):
-    eta: float
-    beta: float
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
-
-
-def loss_constants(kind: str, m: int) -> LossConstants:
-    """Level-set curvature constants (eta, beta) for a sample of size m.
-
-    eta bounds g''/g and beta bounds g/g' on the initial sublevel set.
-    The exponential loss is a fixed point of differentiation, so both
-    constants are 1.  For the logistic loss the initial level set reaches
-    margins up to m*ln 2 and the constants are eta = 2^m / (m ln 2),
-    beta = 1 + 2^m.  When 2^m overflows a double both are +inf, which
-    leaves closed-form steps unusable.
-    """
-    _check_kind(kind)
-    m = int(m)
-    if m < 1:
-        raise ValueError("sample size m must be >= 1")
-    if kind == EXPONENTIAL:
-        return LossConstants(1.0, 1.0)
-    try:
-        pow2m = 2.0 ** m
-    except OverflowError:
-        return LossConstants(math.inf, math.inf)
-    return LossConstants(pow2m / (m * LN2), 1.0 + pow2m)
-
-
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss kind together with its sample-size-dependent constants."""
+    """A loss kind together with its sample-size-dependent constant."""
 
     kind: str
     eta: float
-    beta: float
     sample_size_m: int
 
 
 def make_loss(kind: str, m: int) -> LossSpec:
-    const = loss_constants(kind, m)
-    return LossSpec(kind, const.eta, const.beta, int(m))
+    """The loss with its level-set curvature constant eta for a sample of
+    size m: eta bounds g''/g on the initial sublevel set.
+
+    The exponential loss is a fixed point of differentiation, so eta = 1.
+    For the logistic loss the initial level set reaches margins up to
+    m*ln 2 and eta = 2^m / (m ln 2).  When 2^m overflows a double eta is
+    +inf, which leaves closed-form steps unusable.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
+    m = int(m)
+    if m < 1:
+        raise ValueError("sample size m must be >= 1")
+    if kind == EXPONENTIAL:
+        return LossSpec(kind, 1.0, m)
+    try:
+        eta = 2.0 ** m / (m * LN2)
+    except OverflowError:
+        eta = math.inf
+    return LossSpec(kind, eta, m)
 
 
 # ---------------------------------------------------------------------------

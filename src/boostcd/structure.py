@@ -20,15 +20,17 @@ interior-point method of :mod:`boostcd.lp`, whose limit is strictly
 complementary, so the core is read off its solution with no crossover.
 That solution is the dual witness and its row multipliers give the
 primal one, so :func:`analyze` solves that LP and, for a weakly
-learnable instance only, one more for the rate gamma.  Strict
-inequalities are compiled to margin-1 form, which the cone's scale
-invariance makes equivalent.  The LP solver is not trusted on its own:
-:func:`analyze`, :func:`decompose` and :func:`hard_core` all check their
-witnesses against A by :func:`verify_witness`, and a failed check
-raises.  This is the module's one path to each structural fact; the
-independent references the tests compare it with (the direct tests of
-Gordan's and Stiemke's alternatives on HiGHS, an SVD kernel basis) live
-in ``tests/references.py``.
+learnable instance only, one more for the rate gamma: an LP with one
+row per weak learner (:func:`_gamma_lp`), whose solution and
+multipliers bracket gamma from both sides.  Strict inequalities are
+compiled to margin-1 form, which the cone's scale invariance makes
+equivalent.  The LP solver is not trusted on its own: :func:`analyze`,
+:func:`decompose` and :func:`hard_core` all check their witnesses
+against A by :func:`verify_witness`, gamma's bracket is checked against
+A too, and a failed check raises.  This is the module's one path to
+each structural fact; the independent references the tests compare it
+with (the direct tests of Gordan's and Stiemke's alternatives on HiGHS,
+an SVD kernel basis) live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -192,37 +194,43 @@ def gamma_classical(inst: BoostInstance) -> float:
 
     gamma = min over probability weightings phi of max_j |(A^T phi)_j|:
     the edge the best weak learner is guaranteed against any example
-    weighting.  Positive exactly when the instance is weakly learnable.
-    LP: min t s.t. (A^T phi)_j + s1_j = t, -(A^T phi)_j + s2_j = t,
-    sum phi = 1, with phi, t, s1, s2 >= 0, solved by
-    :func:`boostcd.lp.solve`.
-
-    Both of its sides are read.  The multipliers y1, y2 of the first two
-    row blocks give lam = y1 - y2 with A @ lam <= -gamma (the LP's dual),
-    a Gordan witness whenever gamma > 0.  If it checks out, A @ lam < 0,
-    the rate is the edge of the primal phi, max_j |(A^T phi)_j| / sum(phi),
-    its value at a feasible point (phi > 0, as the iterates are interior).
-    Otherwise the instance has no such lam as far as the solve can tell,
-    and gamma is exactly 0.0; by Gordan's alternative a witness that
-    checks out never exists on an instance that is not weakly learnable.
+    weighting.  Positive exactly when the instance is weakly learnable,
+    which the verified core LP decides (:func:`_certified_split`): with
+    a nonempty hard core gamma is exactly 0.0, attained by the dual
+    witness; otherwise it is the certified value of :func:`_gamma_lp`.
     """
+    return 0.0 if _certified_split(inst)[0] else _gamma_lp(inst)
+
+
+def _gamma_lp(inst: BoostInstance) -> float:
+    """Classical rate of a weakly learnable instance from one n-row LP.
+
+    By LP duality (the value of the boosting game),
+    gamma = 1 / max{1^T phi : -1 <= A^T phi <= 1, phi >= 0}, solved by
+    :func:`boostcd.lp.solve` with slacks s = A^T phi + 1 in [0, 2]:
+
+        min -1^T phi  s.t.  A^T phi - s = -1,  phi >= 0,  0 <= s <= 2.
+
+    G = [A^T, -I] always has full row rank.  The LP is unbounded, and
+    the solve raises NotConvergedError, unless the instance is weakly
+    learnable.  Both sides of gamma are read and checked against A: the
+    edge ||A^T phi||_inf / 1^T phi of the solution is an upper bound and
+    min_i -(A y)_i / ||y||_1 of the multipliers (A y <= -1) a lower one.
+    The edge is returned; a lower bound more than WITNESS_TOL below it
+    raises InvariantViolationError.
+    """
+    a = inst.a
     m, n = inst.m, inst.n
-    # variables: phi_1..phi_m, t, s1_1..s1_n, s2_1..s2_n
-    g = np.zeros((2 * n + 1, m + 1 + 2 * n))
-    g[:n, :m] = inst.a.T
-    g[n:2 * n, :m] = -inst.a.T
-    g[:2 * n, m] = -1.0
-    g[:2 * n, m + 1:] = np.eye(2 * n)
-    g[2 * n, :m] = 1.0
-    h = np.zeros(2 * n + 1)
-    h[2 * n] = 1.0
-    c = np.zeros(m + 1 + 2 * n)
-    c[m] = 1.0
-    x, y = solve(g, h, c, np.full(c.size, np.inf))
+    x, y = solve(np.hstack([a.T, -np.eye(n)]), -np.ones(n),
+                 np.concatenate([-np.ones(m), np.zeros(n)]),
+                 np.concatenate([np.full(m, np.inf), np.full(n, 2.0)]))
     phi = x[:m]
-    if not float(np.max(inst.a @ (y[:n] - y[n:2 * n]))) < 0.0:
-        return 0.0
-    return float(np.max(np.abs(inst.a.T @ phi)) / np.sum(phi))
+    edge = float(np.max(np.abs(a.T @ phi)) / np.sum(phi))
+    if not float(np.min(-(a @ y))) >= (edge - WITNESS_TOL) * float(np.abs(y).sum()):
+        raise InvariantViolationError(
+            f"gamma's bracket: the multipliers' lower bound is more than "
+            f"WITNESS_TOL below the edge {edge!r}")
+    return edge
 
 
 def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -338,14 +346,15 @@ def analyze(inst: BoostInstance) -> StructureReport:
 
     One LP (:func:`_dual_core`) fixes the regime and gives both witnesses:
     the primal one from its multipliers and the dual one from its solution.
-    A weakly learnable instance solves one more LP for gamma; off that
-    regime gamma is exactly 0, attained by the normalized dual witness.
-    So a weakly learnable analysis solves 2 LPs and any other 1.  Every
-    witness is checked by :func:`verify_witness`; a failed one raises
+    A weakly learnable instance solves one more LP, the n-row gamma LP of
+    :func:`_gamma_lp`; off that regime gamma is exactly 0, attained by the
+    normalized dual witness.  So a weakly learnable analysis solves 2 LPs
+    and any other 1.  Every witness is checked by :func:`verify_witness`
+    and gamma by its bracket; a failed check raises
     InvariantViolationError."""
     core0, off0, lam, psi = _certified_split(inst)
     regime = regime_of(len(core0), inst.m)
-    gamma = gamma_classical(inst) if regime == WEAK_LEARNABLE else 0.0
+    gamma = _gamma_lp(inst) if regime == WEAK_LEARNABLE else 0.0
     return StructureReport(
         m=inst.m,
         n=inst.n,

@@ -157,7 +157,7 @@ def test_certify_flag_validation(tmp_path, capsys):
     assert code == 1 and "error:" in err
     code, _, err = _run(capsys, "certify", str(path), "--lam", "1")
     assert code == 1 and "error:" in err  # wrong arity
-    for lam in ("nan,1", "1,inf"):
+    for lam in ("nan,1", "1,inf", "x,1"):
         code, _, err = _run(capsys, "certify", str(path), "--lam", lam)
         assert code == 1 and "error: --lam" in err
 

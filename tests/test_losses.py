@@ -15,12 +15,10 @@ from boostcd.losses import (
     EXPONENTIAL,
     LOGISTIC,
     KINDS,
-    LossConstants,
     RiskFunction,
     _gpp,
     conj_eval,
     conj_grad,
-    loss_constants,
     loss_eval,
     loss_grad,
     make_loss,
@@ -31,32 +29,27 @@ LOG3 = make_loss(LOGISTIC, 3)
 
 
 def test_constants_exponential():
-    assert loss_constants(EXPONENTIAL, 1) == LossConstants(1.0, 1.0)
-    assert loss_constants(EXPONENTIAL, 500) == LossConstants(1.0, 1.0)
+    assert make_loss(EXPONENTIAL, 1).eta == 1.0
+    assert make_loss(EXPONENTIAL, 500).eta == 1.0
 
 
 def test_constants_logistic_small_m():
-    eta, beta = loss_constants(LOGISTIC, 3)
+    eta = make_loss(LOGISTIC, 3).eta
     assert eta == pytest.approx(3.847186775703902, rel=1e-15)
-    assert beta == 9.0
     assert not math.isinf(eta)
-    eta1, beta1 = loss_constants(LOGISTIC, 1)
-    assert eta1 == pytest.approx(2.8853900817779268, rel=1e-15)
-    assert beta1 == 3.0
+    assert make_loss(LOGISTIC, 1).eta == pytest.approx(2.8853900817779268, rel=1e-15)
 
 
 def test_constants_logistic_overflow_capped():
     # 2^m overflows binary64 past m = 1023
-    const = loss_constants(LOGISTIC, 1100)
-    assert math.isinf(const.eta) and math.isinf(const.beta)
     assert math.isinf(make_loss(LOGISTIC, 1100).eta)
 
 
 def test_constants_validation():
     with pytest.raises(ValueError):
-        loss_constants("hinge", 3)
+        make_loss("hinge", 3)
     with pytest.raises(ValueError):
-        loss_constants(LOGISTIC, 0)
+        make_loss(LOGISTIC, 0)
 
 
 def test_scalar_values_frozen():
@@ -159,9 +152,9 @@ def test_fenchel_young_inequality(loss, x, phi):
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_set_inequalities(kind, m):
-    # g'' <= eta g and g <= beta g' on the initial sublevel set
-    # {x : g(x) <= m g(0)}; its right edge for the logistic loss is
-    # ln(2^m - 1), for the exponential loss ln m.
+    # g'' <= eta g on the initial sublevel set {x : g(x) <= m g(0)}; its
+    # right edge for the logistic loss is ln(2^m - 1), for the
+    # exponential loss ln m.
     loss = make_loss(kind, m)
     if kind == EXPONENTIAL:
         edge = math.log(m)
@@ -170,7 +163,6 @@ def test_level_set_inequalities(kind, m):
     for x in np.linspace(-40.0, edge, 400):
         g = loss_eval(loss, x)
         assert _gpp(kind, x) <= loss.eta * g * (1 + 1e-12)
-        assert g <= loss.beta * loss_grad(loss, x) * (1 + 1e-12)
 
 
 def test_risk_values_and_gradient():

@@ -315,8 +315,12 @@ def test_analyze_solves_at_most_two_lps(name, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(structure, "solve", counting)
-    rep = analyze(fixtures.FIXTURES[name]())
+    inst = fixtures.FIXTURES[name]()
+    rep = analyze(inst)
     assert len(calls) == {WEAK_LEARNABLE: 2, ATTAINABLE: 1, MIXED: 1}[rep.regime]
+    if rep.regime == WEAK_LEARNABLE:
+        # the gamma LP has one row per weak learner
+        assert calls[1][0].shape == (inst.n, inst.m + inst.n)
 
 
 def _random_cases():
@@ -444,6 +448,22 @@ def test_analyze_raises_on_a_primal_witness_that_fails_an_off_core_row(name, mon
     monkeypatch.setattr(structure, "_dual_core", flipped)
     with pytest.raises(InvariantViolationError, match="A_off @ lam < 0"):
         analyze(fixtures.FIXTURES[name]())
+
+
+@pytest.mark.parametrize("entry", [analyze, gamma_classical], ids=lambda f: f.__name__)
+def test_gamma_raises_when_its_multipliers_do_not_bracket_it(entry, monkeypatch):
+    # the core LP (right-hand side 0) is solved as is; the gamma LP's
+    # (right-hand side -1) multipliers come back negated, so their lower
+    # bound on gamma is -1 against an edge of 1
+    solve = structure.solve
+
+    def corrupted(g, h, c, upper):
+        x, y = solve(g, h, c, upper)
+        return x, (-y if np.all(h < 0.0) else y)
+
+    monkeypatch.setattr(structure, "solve", corrupted)
+    with pytest.raises(InvariantViolationError, match="gamma's bracket"):
+        entry(fixtures.weaklearn_3x3())
 
 
 def test_analysis_does_not_import_scipy_optimize():
