@@ -8,9 +8,10 @@ the gradient sup-norm falls below tolerance, an optional target
 objective is reached, or the iteration cap is hit.
 
 A step updates the margins A @ lam in O(m), from the ones its line
-search already evaluated, instead of recomputing them in O(mn).  Every
-REFRESH_EVERY steps, and on the state a run stops at, they are
-recomputed from lam and checked against the running ones.
+search already evaluated, and runs the unchecked loss kernels on them.
+One rule in boost_step recomputes them from lam and checks the running
+ones: every REFRESH_EVERY steps, and where a stopping rule holds.  Only
+_state_at takes a lam from outside; it checks margins and risk are finite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import linesearch
 from .instance import BoostInstance
 from .linesearch import StepResult
-from .losses import LossSpec, RiskFunction
+from .losses import LossSpec, RiskFunction, _g, _gp
 
 GRADIENT_BELOW_TOL = "gradient_below_tol"
 MAX_ITERS = "max_iters"
@@ -129,31 +130,26 @@ class IterateState:
 
 def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
                 margins: np.ndarray, t: int) -> IterateState:
-    """The state at ``lam`` whose margins are ``margins``; takes ownership
-    of both arrays."""
-    weights = rf.grad(margins)
+    """The state at ``lam`` whose margins are ``margins``, by the unchecked
+    loss kernels; takes ownership of both arrays."""
+    weights = _gp(rf.loss.kind, margins)
     grad = inst.a.T @ weights
     for arr in (lam, margins, weights, grad):
         arr.flags.writeable = False
-    return IterateState(lam, margins, float(rf.value(margins)), weights, grad,
-                        _norm_inf(grad), int(t))
+    return IterateState(lam, margins, float(np.sum(_g(rf.loss.kind, margins))), weights,
+                        grad, _norm_inf(grad), int(t))
 
 
 def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
+    """The state recomputed from A @ lam, the one entry for an outside lam:
+    margins or a risk that are not finite raise ValueError."""
     lam = np.array(lam, dtype=float)
-    return _state_from(inst, rf, lam, inst.a @ lam, t)
-
-
-def _rebuild(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
-             margins: np.ndarray, t: int) -> IterateState:
-    """``_state_at(lam)``, once the running ``margins`` are checked against
-    A @ lam: a drift above MARGIN_DRIFT_TOL * (1 + max |A @ lam|) raises
-    MarginDriftError."""
-    state = _state_at(inst, rf, lam, t)
-    drift = _norm_inf(margins - state.margins)
-    if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(state.margins)):
-        raise MarginDriftError(
-            f"running margins drifted {drift!r} from A @ lam at iteration {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _state_from(inst, rf, lam, inst.a @ lam, t)
+    if not np.all(np.isfinite(state.margins)):
+        raise ValueError("margins must be finite")
+    if not math.isfinite(state.objective):
+        raise ValueError("risk is not finite at this lam")
     return state
 
 
@@ -180,6 +176,19 @@ class RunConfig:
             raise ValueError("grad_tol and max_iters must be nonnegative")
         if self.target_objective is not None and np.isnan(self.target_objective):
             raise ValueError("target_objective must not be NaN")
+        if self.selector is not None and not isinstance(self.selector, ApproxSelector):
+            raise ValueError(f"selector must be None or an ApproxSelector, got {self.selector!r}")
+
+
+def _stop_status(state: IterateState, cfg: RunConfig) -> Optional[str]:
+    """The stopping rule that holds at ``state``, in order of precedence."""
+    if cfg.target_objective is not None and state.objective <= cfg.target_objective:
+        return TARGET_REACHED
+    if state.grad_inf <= cfg.grad_tol:
+        return GRADIENT_BELOW_TOL
+    if state.t >= cfg.max_iters:
+        return MAX_ITERS
+    return None
 
 
 class StepOutcome(NamedTuple):
@@ -199,8 +208,9 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     the ones the line search evaluated at its step, and the objective and
     weights come from them; the gradient A.T @ weights is recomputed in
     full, since selection needs all of it.  On every REFRESH_EVERY-th
-    iterate the margins are recomputed as A @ lam instead, and a running
-    value that drifted from them raises MarginDriftError."""
+    iterate, and on one where a stopping rule of ``cfg`` holds, the state
+    is rebuilt from A @ lam instead; running margins that drifted from it
+    raise MarginDriftError."""
     if state.grad_inf <= cfg.grad_tol:
         raise StationaryGradientError(
             f"gradient sup-norm {state.grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
@@ -210,12 +220,15 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     base = state.margins
     s = float(sign)
     slope0 = float(sign * state.grad[j])
+    # No iterate nears exp overflow (f <= f(0) = m bounds every margin by
+    # ln m); a Wolfe trial point past it gives +inf and fails the decrease test.
+    kind = rf.loss.kind
 
     def phi(alpha):
-        return rf.value(base + (s * alpha) * col)
+        return float(np.sum(_g(kind, base + (s * alpha) * col)))
 
     def dphi(alpha):
-        return s * float(col @ rf.grad(base + (s * alpha) * col))
+        return s * float(col @ _gp(kind, base + (s * alpha) * col))
 
     if cfg.line_search == linesearch.WOLFE:
         res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
@@ -234,10 +247,13 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     lam[j] += s * res.alpha
     margins = base + (s * res.alpha) * col
     t = state.t + 1
-    if t % REFRESH_EVERY:
-        new_state = _state_from(inst, rf, lam, margins, t)
-    else:
-        new_state = _rebuild(inst, rf, lam, margins, t)
+    new_state = _state_from(inst, rf, lam, margins, t) if t % REFRESH_EVERY else None
+    if new_state is None or _stop_status(new_state, cfg) is not None:
+        new_state = _state_at(inst, rf, lam, t)
+        drift = _norm_inf(margins - new_state.margins)
+        if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(new_state.margins)):
+            raise MarginDriftError(
+                f"running margins drifted {drift!r} from A @ lam at iteration {t}")
     return StepOutcome(new_state, j, sign, float(res.alpha), res.evals)
 
 
@@ -299,27 +315,14 @@ def lam_from_steps(n: int, steps) -> np.ndarray:
     return lam
 
 
-def _stop_status(state: IterateState, cfg: RunConfig) -> Optional[str]:
-    """The stopping rule that holds at ``state``, in order of precedence."""
-    if cfg.target_objective is not None and state.objective <= cfg.target_objective:
-        return TARGET_REACHED
-    if state.grad_inf <= cfg.grad_tol:
-        return GRADIENT_BELOW_TOL
-    if state.t >= cfg.max_iters:
-        return MAX_ITERS
-    return None
-
-
 def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Trace:
     """Coordinate descent from lam = 0 until a stopping condition holds.
 
     Stopping precedence: target objective (if configured), then gradient
     tolerance, then the iteration cap; the returned ``Trace.status`` names
-    the rule that fired.  A stopping rule is only ever decided on a state
-    recomputed from lam: when one holds on a state whose margins were
-    updated in place, that state is rebuilt before it is recorded, and the
-    rules are checked again on the rebuilt one.  So the final state and
-    the last record come from A @ lam exactly.
+    the rule that fired.  boost_step rebuilds every state at which a rule
+    holds from A @ lam, so the final state and the last record come from
+    A @ lam exactly.
     """
     rf = RiskFunction(loss, inst.m)
     state = initial_state(inst, rf)
@@ -332,10 +335,6 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
         out = boost_step(inst, rf, state, cfg)
         state = out.state
         status = _stop_status(state, cfg)
-        # iterates at multiples of REFRESH_EVERY are already rebuilt
-        if status is not None and state.t % REFRESH_EVERY:
-            state = _rebuild(inst, rf, state.lam, state.margins, state.t)
-            status = _stop_status(state, cfg)
         wall = time.perf_counter() - tic
         records.append(
             TraceRecord(state.t, state.objective, grad_inf, out.j, out.sign,

@@ -12,7 +12,8 @@ step-size rules rely on: g'' <= eta * g, valid on the initial sublevel
 set {x : g(x) <= m * g(0)}.  For the exponential loss eta = 1 exactly;
 for the logistic loss it grows with the sample size m and is
 deliberately conservative.  No step rule evaluates g'' itself, so it
-stays internal (``_gpp``).
+stays internal (``_gpp``).  RiskFunction is the checked entry for
+outside margins; the descent loop runs ``_g`` and ``_gp`` on its own.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def conj_grad(loss: LossSpec, phi: float) -> float:
 
 @dataclass(frozen=True)
 class RiskFunction:
-    """Separable empirical risk f(x) = sum_i g(x_i) over m margins."""
+    """Separable empirical risk f(x) = sum_i g(x_i) over m checked margins."""
 
     loss: LossSpec
     m: int
@@ -181,9 +182,7 @@ class RiskFunction:
         return v
 
     def value(self, margins) -> float:
-        """f(margins) as a plain sum.  No iterate comes near exp overflow:
-        f <= f(0) = m bounds every margin by ln m, and a Wolfe trial point
-        past it gives +inf, which fails the decrease test."""
+        """f(margins) as a plain sum."""
         x = self._vec(margins, "margins")
         return float(np.sum(_g(self.loss.kind, x)))
 

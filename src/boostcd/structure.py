@@ -194,12 +194,10 @@ def gamma_classical(inst: BoostInstance) -> float:
 
     gamma = min over probability weightings phi of max_j |(A^T phi)_j|:
     the edge the best weak learner is guaranteed against any example
-    weighting.  Positive exactly when the instance is weakly learnable,
-    which the verified core LP decides (:func:`_certified_split`): with
-    a nonempty hard core gamma is exactly 0.0, attained by the dual
-    witness; otherwise it is the certified value of :func:`_gamma_lp`.
+    weighting, positive exactly on a weakly learnable instance.  This is
+    the value :func:`analyze` reports and certifies.
     """
-    return 0.0 if _certified_split(inst)[0] else _gamma_lp(inst)
+    return analyze(inst).gamma_classical
 
 
 def _gamma_lp(inst: BoostInstance) -> float:

@@ -252,6 +252,27 @@ def test_run_config_validation():
         RunConfig(grad_tol=math.nan)
     with pytest.raises(ValueError):
         RunConfig(target_objective=math.nan)
+    for not_selector in (0.5, "greedy", (lambda g: (0, 1))):
+        with pytest.raises(ValueError, match="selector must be None or an ApproxSelector"):
+            RunConfig(selector=not_selector)
+
+
+def test_descent_loop_runs_the_loss_kernels_unchecked(monkeypatch):
+    # lam = 0 and every step are built inside the loop, so no margins
+    # vector goes through RiskFunction's checked entry points
+    calls = []
+    for name in ("value", "grad"):
+        checked = getattr(RiskFunction, name)
+
+        def counting(self, margins, _checked=checked, _name=name):
+            calls.append(_name)
+            return _checked(self, margins)
+
+        monkeypatch.setattr(RiskFunction, name, counting)
+    inst = fixtures.mixed_3x2()
+    trace = run(inst, make_loss(LOGISTIC, inst.m), RunConfig(grad_tol=0.0, max_iters=200))
+    assert trace.status == MAX_ITERS and len(trace.records) == 200
+    assert calls == []
 
 
 def _planted_attainable(m, n, seed):

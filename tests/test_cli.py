@@ -162,6 +162,18 @@ def test_certify_flag_validation(tmp_path, capsys):
         assert code == 1 and "error: --lam" in err
 
 
+@pytest.mark.parametrize("loss, lam, message", [
+    ("logistic", "1e308,-1e308", "margins must be finite"),  # a @ lam overflows
+    ("exp", "800,-800", "risk is not finite at this lam"),  # exp(1600) overflows
+])
+def test_certify_rejects_a_lam_whose_state_overflows(tmp_path, capsys, loss, lam, message):
+    path = tmp_path / "mixed.json"
+    write_instance(fixtures.mixed_3x2(), path)
+    code, out, err = _run(capsys, "certify", str(path), "--loss", loss, "--lam", lam)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"  # no warning lines, no traceback
+
+
 def test_certify_rejects_a_malformed_trace_row(tmp_path, capsys):
     # j = -1 once wrapped to the last column and certified the lam of j = 1
     path = tmp_path / "mixed.json"
