@@ -70,7 +70,7 @@ class BoostInstance:
 
 
 def make_instance(entries) -> BoostInstance:
-    return BoostInstance(np.asarray(entries, dtype=float))
+    return BoostInstance(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,14 @@ def to_json(inst: BoostInstance) -> str:
     )
 
 
-def from_json(text: str) -> BoostInstance:
+def _parse_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
+
+
+def _from_parsed(obj) -> BoostInstance:
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('instance JSON needs keys "m", "n", "entries"')
     try:
@@ -108,6 +111,10 @@ def from_json(text: str) -> BoostInstance:
             f"entries shape ({inst.m}, {inst.n})"
         )
     return inst
+
+
+def from_json(text: str) -> BoostInstance:
+    return _from_parsed(_parse_json(text))
 
 
 def to_csv(inst: BoostInstance) -> str:
@@ -153,7 +160,11 @@ def read_instance(path) -> BoostInstance:
         text = fh.read()
     name = str(path).lower()
     if name.endswith(".json") or text.lstrip().startswith("{"):
-        return from_json(text)
+        # the text is about as large as the parsed lists; drop it before
+        # the matrix is built from them
+        obj = _parse_json(text)
+        del text
+        return _from_parsed(obj)
     return from_csv(text)
 
 

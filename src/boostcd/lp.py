@@ -14,12 +14,22 @@ complementary solution (Guler & Ye 1993): every variable that is
 positive at some optimum ends up bounded away from zero, and every one
 that is zero at all optima goes to zero.  So a caller can read the
 optimal face's support off ``x`` with no crossover to a vertex.
+
+On the small LPs of the structure analysis an iteration's time goes to
+the fixed cost of each array call more than to arithmetic, so the
+layout keeps the number of calls low.  The variables
+with a finite bound are permuted, once per solve, into one leading
+block, so each of their slices is a view.  The complementary pairs are
+stored stacked: ``xw = (x, w)`` with ``w = upper - x`` on that block,
+and ``zv = (z, v)`` with their multipliers.  The gap, the ratio tests,
+``mu_aff`` and the updates then take one call each.  The triangular
+solves with ``R`` go to LAPACK's ``dtrtrs`` directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 # Relative primal residual, dual residual and duality gap at which the
 # iteration stops, and the iteration cap past which it raises.
@@ -38,10 +48,9 @@ class RankDeficientError(ValueError):
     ``G.shape[1] * eps * max |diag R|``."""
 
 
-def _max_step(*pairs):
-    """Largest alpha <= 1 with vals + alpha dirs >= 0 for every pair
-    (vals, dirs), given vals > 0."""
-    return 1.0 / max(1.0, *(float((-d / v).max(initial=0.0)) for v, d in pairs))
+def _max_step(vals, dirs):
+    """Largest alpha <= 1 with vals + alpha dirs >= 0, given vals > 0."""
+    return 1.0 / max(1.0, -float((dirs / vals).min(initial=0.0)))
 
 
 # A diverging iteration overflows or underflows; that shows as a duality
@@ -51,47 +60,65 @@ def solve(G, h, c, upper):
     """Minimize c @ x s.t. G x = h, 0 <= x <= upper; returns (x, y) with
     y the multipliers of the rows of G: G^T y <= c on the variables at
     their lower bound, = c on those strictly between, >= c at the upper.
-    Raises RankDeficientError if G does not have full row rank and
+    Every entry of ``upper`` must be positive (inf for no bound): the
+    iteration starts inside the box.  Raises ValueError otherwise,
+    RankDeficientError if G does not have full row rank and
     NotConvergedError if the iteration does not converge."""
     G = np.asarray(G, dtype=float)
     h, c, upper = (np.asarray(a, dtype=float) for a in (h, c, upper))
+    if not np.all(upper > 0.0):
+        raise ValueError("upper bounds must be positive or inf, got "
+                         f"{upper[~(upper > 0.0)][:4].tolist()}")
     fin = np.isfinite(upper)
-    u = upper[fin]
-    # the slack w = u - x[fin] and its multiplier v exist for the finite
-    # bounds only; z is the multiplier of x >= 0
-    x = np.where(fin, upper, 2.0) / 2
-    w = u / 2
-    z = np.ones_like(x)
-    v = np.ones_like(w)
+    order = np.concatenate([np.flatnonzero(fin), np.flatnonzero(~fin)])
+    G, c = G[:, order], c[order]
+    n, nf = c.size, int(np.count_nonzero(fin))
+    u = upper[order[:nf]]
+    # xw = (x, w) and zv = (z, v): w = u - x[:nf] is the slack of the
+    # finite bounds, v its multiplier, z the multiplier of x >= 0
+    xw = np.concatenate([u, np.full(n - nf, 2.0), u]) / 2
+    zv = np.ones_like(xw)
+    x, w = xw[:n], xw[n:]
+    z, v = zv[:n], zv[n:]
     y = np.zeros(G.shape[0])
-    ncomp = x.size + w.size
+    ncomp = xw.size
+    scale_h = np.abs(h).max(initial=0.0)
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
     for it in range(MAX_ITERS):
         r_p = h - G @ x
-        r_u = u - x[fin] - w
+        r_u = u - x[:nf] - w
         r_d = c - G.T @ y - z
-        r_d[fin] += v
-        gap = x @ z + w @ v
+        r_d[:nf] += v
+        xz = xw * zv
+        gap = xz.sum()
         if not np.isfinite(gap):
             break
-        scale_p = 1.0 + max(np.abs(h).max(initial=0.0), x.max())
-        if (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0)) <= TOL * scale_p
+        if (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
+                <= TOL * (1.0 + max(scale_h, x.max()))
                 and np.abs(r_d).max() <= TOL * scale_d
                 and gap <= TOL * (1.0 + abs(c @ x))):
-            return x, y
+            out = np.empty(n)
+            out[order] = x
+            return out, y
         mu = gap / ncomp
-        d = z / x
-        d[fin] += v / w
+        ratio = zv / xw
+        d = ratio[:n]
+        d[:nf] += ratio[n:]
         sq = 1.0 / np.sqrt(d)  # Theta^1/2
         q, R = np.linalg.qr(G.T * sq[:, None])
-        diag = np.abs(np.diag(R))
-        if it == 0 and (diag.size < G.shape[0] or not np.all(
-                diag > G.shape[1] * np.finfo(float).eps * diag.max(initial=0.0))):
-            raise RankDeficientError(
-                f"G ({G.shape[0]} x {G.shape[1]}) does not have full row rank")
-        if not np.all(diag > 0.0):
+        if it == 0:
+            diag = np.abs(np.diag(R))
+            if diag.size < G.shape[0] or not np.all(
+                    diag > G.shape[1] * np.finfo(float).eps * diag.max(initial=0.0)):
+                raise RankDeficientError(
+                    f"G ({G.shape[0]} x {G.shape[1]}) does not have full row rank")
+        # R.T is R's Fortran-ordered transpose, so LAPACK reads it in place
+        # as a lower factor.  info > 0 flags an exact zero on R's diagonal;
+        # it is the same for every solve with this R.
+        p_p, info = dtrtrs(R.T, r_p, lower=1)
+        if info:
             break
-        p_p = scipy.linalg.solve_triangular(R, r_p, trans="T", check_finite=False)
+        v_ru = v * r_u
         # Per column, dz - dv = r_d - G^T dy (no dv without an upper
         # bound), and x dz + z dx, w dv + v dw meet their targets.
         # Dividing by a primal value near 0 amplifies the roundoff in dx,
@@ -99,41 +126,48 @@ def solve(G, h, c, upper):
         # without an upper bound) comes from complementarity and the other
         # from the dual equation.
         by_x = x >= z
-        by_x[fin] = x[fin] >= w
+        by_x[:nf] = x[:nf] >= w
+        by_e = ~by_x
 
-        def direction(r_xz, r_wv):
-            """Newton step towards x z = r_xz + x z and w v = r_wv + w v.
+        def direction(target):
+            """Newton step towards xw zv = target + xw zv, pair by pair.
             With r the reduced dual residual, dy = (R^T R)^-1 (r_p + G Theta r)
             and dx = Theta (G^T dy - r), taken in the equal form
             Theta^1/2 (Q R^-T r_p - (I - Q Q^T) Theta^1/2 r), which meets
             G dx = r_p to roundoff however wide Theta's range is."""
-            r = r_d - r_xz / x
-            r[fin] += (r_wv - v * r_u) / w
-            p = q.T @ (sq * r) + p_p
-            dy = scipy.linalg.solve_triangular(R, p, check_finite=False)
-            dx = sq * (q @ p - sq * r)
-            dw = r_u - dx[fin]
-            dv = (r_wv - v * dw) / w
+            t = target.copy()
+            t[n:] -= v_ru
+            t /= xw
+            r = r_d - t[:n]
+            r[:nf] += t[n:]
+            sr = sq * r
+            p = q.T @ sr + p_p
+            dy = dtrtrs(R.T, p, lower=1, trans=1)[0]
+            dxw = np.empty(ncomp)
+            np.multiply(sq, q @ p - sr, out=dxw[:n])
+            np.subtract(r_u, dxw[:nf], out=dxw[n:])
+            # every pair by complementarity, then the chosen half of each
+            # from the dual equation
+            dzv = (target - zv * dxw) / xw
             e = r_d - G.T @ dy
             e_dv = e.copy()
-            e_dv[fin] += dv
-            dz = np.where(by_x, (r_xz - z * dx) / x, e_dv)
-            dv = np.where(by_x[fin], dz[fin] - e[fin], dv)
-            return dx, dw, dy, dz, dv
+            e_dv[:nf] += dzv[n:]
+            np.copyto(dzv[:n], e_dv, where=by_e)
+            np.subtract(dzv[:nf], e[:nf], out=dzv[n:], where=by_x[:nf])
+            return dxw, dy, dzv
 
         # predictor: the affine-scaling direction, aimed at mu = 0
-        dx, dw, _, dz, dv = direction(-x * z, -w * v)
-        a_p, a_d = _max_step((x, dx), (w, dw)), _max_step((z, dz), (v, dv))
-        mu_aff = ((x + a_p * dx) @ (z + a_d * dz) + (w + a_p * dw) @ (v + a_d * dv)) / ncomp
+        dxw, _, dzv = direction(-xz)
+        a_p, a_d = _max_step(xw, dxw), _max_step(zv, dzv)
+        mu_aff = (xw + a_p * dxw) @ (zv + a_d * dzv) / ncomp
         sigma = (mu_aff / mu) ** 3
         # corrector: centre on sigma mu and cancel the predictor's
         # second-order term
-        dx, dw, dy, dz, dv = direction(sigma * mu - x * z - dx * dz,
-                                       sigma * mu - w * v - dw * dv)
+        dxw, dy, dzv = direction(sigma * mu - xz - dxw * dzv)
         # stop short of the boundary to stay interior
-        a_p = 0.99 * _max_step((x, dx), (w, dw))
-        a_d = 0.99 * _max_step((z, dz), (v, dv))
-        x, w = x + a_p * dx, w + a_p * dw
-        y, z, v = y + a_d * dy, z + a_d * dz, v + a_d * dv
+        xw += 0.99 * _max_step(xw, dxw) * dxw
+        a_d = 0.99 * _max_step(zv, dzv)
+        zv += a_d * dzv
+        y += a_d * dy
     raise NotConvergedError(
         f"interior-point iteration diverged or hit its cap of {MAX_ITERS} steps")

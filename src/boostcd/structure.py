@@ -108,12 +108,14 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
                      np.concatenate([np.ones(k), np.full(k, np.inf)]))
         in_core = x[:k] > 0.5
         core[nz[in_core]] = True
-        b_core = b[in_core]
-        if np.any(in_core):
-            psi[nz[in_core]] = _kernel_projection(b_core, (x[:k] + x[k:])[in_core])
-        if not np.all(in_core):
+        if np.all(in_core):
+            # the core block is b, whose factor is in hand
+            psi[nz] = _project_out(q, rank, x[:k] + x[k:])
+        else:
             lam = np.linalg.lstsq(b, q_r @ y, rcond=None)[0]
             if np.any(in_core):
+                b_core = b[in_core]
+                psi[nz[in_core]] = _kernel_projection(b_core, (x[:k] + x[k:])[in_core])
                 lam = _kernel_projection(b_core.T, lam)
     return [int(i) for i in np.flatnonzero(core)], psi, lam
 
@@ -251,8 +253,13 @@ def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     memory; no m x m Q is formed.  One re-projection keeps A^T of the result at roundoff.  An
     empty kernel (rank == m) gives exact zeros.
     """
-    m = a.shape[0]
-    q, rank = _pivoted_qr(a)
+    return _project_out(*_pivoted_qr(a), w)
+
+
+def _project_out(q: np.ndarray, rank: int, w: np.ndarray) -> np.ndarray:
+    """:func:`_kernel_projection` from A's factor ``q, rank`` as
+    :func:`_pivoted_qr` returns it."""
+    m = q.shape[0]
     if rank == m:
         return np.zeros(m)
     q_r = q[:, :rank]

@@ -109,6 +109,38 @@ def test_rank_deficient_rows_raise_before_iterating(monkeypatch):
         assert len(calls) == 1
 
 
+def test_bad_upper_bounds_raise_up_front():
+    # a NaN bound was read as no bound (x = 1 came back), and a negative
+    # or zero one leaves no interior to start from, which showed as a
+    # rank or convergence failure on a G of full row rank
+    for g, c, upper in (([[1.0]], [1.0], [np.nan]),
+                        ([[1.0, 1.0]], [0.0, 0.0], [-1.0, INF]),
+                        ([[1.0, 1.0]], [0.0, 0.0], [0.0, INF]),
+                        ([[1.0, 1.0]], [0.0, 0.0], [-INF, INF])):
+        with pytest.raises(ValueError, match="upper bounds") as exc:
+            _solve(g, [1.0], c, upper)
+        assert exc.type is ValueError
+
+
+def test_permuted_columns_permute_x_and_keep_y():
+    # finite and infinite bounds interleaved: the solver gathers the
+    # finite ones into a block of their own and must return x in the
+    # caller's order, whatever that order is
+    rng = np.random.default_rng(11)
+    g = rng.uniform(-1.0, 1.0, size=(3, 8))
+    upper = np.array([1.5, INF, 2.0, INF, INF, 0.8, INF, 2.5])
+    fin = np.isfinite(upper)
+    h = g @ (rng.uniform(0.0, 1.0, 8) * np.where(fin, upper, 2.0))
+    c = g.T @ rng.uniform(-1.0, 1.0, 3) + rng.uniform(0.0, 1.0, 8)
+    c[fin] -= rng.uniform(0.0, 2.0, int(fin.sum()))
+    x, y = solve(g, h, c, upper)
+    for _ in range(3):
+        perm = rng.permutation(8)
+        x_p, y_p = solve(g[:, perm], h, c[perm], upper[perm])
+        np.testing.assert_allclose(x_p, x[perm], rtol=0.0, atol=1e-7)
+        np.testing.assert_allclose(y_p, y, rtol=0.0, atol=1e-7)
+
+
 def test_random_lps_against_highs_and_duals():
     # min c@x s.t. G x = h, 0 <= x <= upper with about half the bounds
     # infinite.  h comes from an interior point, so the LP is feasible,
