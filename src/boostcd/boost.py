@@ -282,7 +282,6 @@ class Trace:
     records: List[TraceRecord]
     status: str
     initial_objective: float
-    initial_grad_inf: float
     final_state: IterateState
 
     def objectives(self) -> np.ndarray:
@@ -326,7 +325,7 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
     """
     rf = RiskFunction(loss, inst.m)
     state = initial_state(inst, rf)
-    f0, g0 = state.objective, state.grad_inf
+    f0 = state.objective
     records: List[TraceRecord] = []
     status = _stop_status(state, cfg)
     while status is None:
@@ -340,4 +339,4 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
             TraceRecord(state.t, state.objective, grad_inf, out.j, out.sign,
                         out.alpha, wall, out.evals)
         )
-    return Trace(records, status, f0, g0, state)
+    return Trace(records, status, f0, state)

@@ -5,6 +5,13 @@ An instance is an m-by-n real matrix with entries in [-1, 1]: entry
 j on example i, so negative margins A @ lam are good.  Serialization
 uses decimal strings with 17 significant digits, which round-trip
 binary doubles bit-exactly.
+
+The matrix is stored once, as a read-only float64 array in column-major
+(Fortran) order, whatever it was built from.  The descent loop reads one
+column a_j per line-search evaluation and A^T w once per step, and both
+are contiguous in that order; A @ lam, which only the loop's periodic
+rebuilds compute, and the structure analysis's row gathers are the reads
+that pay for the strides.
 """
 
 from __future__ import annotations
@@ -26,7 +33,11 @@ class InstanceValidationError(ValueError):
 
 
 def _validated_matrix(entries) -> np.ndarray:
-    a = np.array(entries, dtype=float, order="C")
+    # numpy infers the dtype, so strings and booleans are seen, not converted
+    a = np.array(entries, order="F")
+    if a.dtype.kind not in "fiu":
+        raise TypeError(f"entries must be real numbers, got array dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 2:
         raise ValueError(f"instance matrix must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -76,15 +87,16 @@ def make_instance(entries) -> BoostInstance:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(v: float) -> str:
-    # 17 significant decimal digits: lossless for binary64
-    return "%.17g" % v
+def _rows_text(a: np.ndarray, sep: str):
+    """Each row of ``a`` as its entries joined by ``sep``, with 17
+    significant decimal digits (lossless for binary64); one row is
+    converted to Python floats at a time."""
+    for row in a:
+        yield sep.join(["%.17g" % v for v in row.tolist()])
 
 
 def to_json(inst: BoostInstance) -> str:
-    rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in inst.a
-    )
+    rows = ",\n    ".join("[" + row + "]" for row in _rows_text(inst.a, ", "))
     return (
         '{\n  "m": %d,\n  "n": %d,\n  "entries": [\n    %s\n  ]\n}\n'
         % (inst.m, inst.n, rows)
@@ -101,9 +113,13 @@ def _parse_json(text: str):
 def _from_parsed(obj) -> BoostInstance:
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('instance JSON needs keys "m", "n", "entries"')
+    for key in ("m", "n"):
+        if type(obj[key]) is not int:  # bool is an int subclass; 1.0 is not an int
+            raise ValueError(f'malformed instance JSON: "{key}" must be an integer, '
+                             f"got {obj[key]!r}")
     try:
         inst = make_instance(obj["entries"])
-    except TypeError as exc:  # entries that are not numbers, e.g. objects
+    except TypeError as exc:  # entries that are not numbers: strings, booleans, objects
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if inst.m != obj["m"] or inst.n != obj["n"]:
         raise ValueError(
@@ -118,7 +134,7 @@ def from_json(text: str) -> BoostInstance:
 
 
 def to_csv(inst: BoostInstance) -> str:
-    return "\n".join(",".join(_fmt(v) for v in row) for row in inst.a) + "\n"
+    return "\n".join(_rows_text(inst.a, ",")) + "\n"
 
 
 def from_csv(text: str) -> BoostInstance:

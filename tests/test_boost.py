@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcd import boost, fixtures
+from boostcd import boost, fixtures, structure
 from boostcd.boost import (
     GRADIENT_BELOW_TOL,
     MAX_ITERS,
@@ -113,7 +113,7 @@ def test_run_already_stationary_at_zero():
     assert trace.status == GRADIENT_BELOW_TOL
     assert trace.records == []
     assert trace.initial_objective == 2 * math.log(2)
-    assert trace.initial_grad_inf == 0.0
+    assert trace.final_state.grad_inf == 0.0
     assert trace.final_state.t == 0
     assert np.array_equal(trace.objectives(), [2 * math.log(2)])
 
@@ -162,7 +162,8 @@ def test_trace_bookkeeping():
     assert all(r.sign in (-1, 1) for r in trace.records)
     # grad_inf is the pre-step norm, so the first record carries the
     # starting gradient
-    assert trace.records[0].grad_inf == trace.initial_grad_inf
+    rf = RiskFunction(make_loss("exp", inst.m), inst.m)
+    assert trace.records[0].grad_inf == initial_state(inst, rf).grad_inf
 
 
 def test_trace_csv_round_trip_and_determinism():
@@ -275,14 +276,27 @@ def test_descent_loop_runs_the_loss_kernels_unchecked(monkeypatch):
     assert calls == []
 
 
-def _planted_attainable(m, n, seed):
-    # rows orthogonal to a positive psi: psi > 0 is in ker(A^T), so the
-    # hard core is every row and the risk attains its minimum
+def _planted(regime, m, n, seed):
+    # The core rows are orthogonal to a positive psi, so psi > 0 is in
+    # ker(A_core^T) and every core row is in the hard core.  Off-core rows
+    # have a_i . u <= -|u| / 4 for a u orthogonal to every core row, which
+    # keeps them off it (Motzkin).  Attainable: every row is a core row, and
+    # the risk attains its minimum; weakly learnable: none is.
     rng = np.random.default_rng(seed)
-    psi = rng.uniform(0.1, 1.0, size=m)
+    k = {"attainable": m, "mixed": m // 2, "weak_learnable": 0}[regime]
+    psi = rng.uniform(0.1, 1.0, size=k)
     a = rng.uniform(-1.0, 1.0, size=(m, n))
-    a -= np.outer(psi, psi @ a) / (psi @ psi)
+    if k < m:
+        u = rng.standard_normal(n)
+        a[:k] -= np.outer(a[:k] @ u, u) / (u @ u)
+        a[k:] *= -np.sign(a[k:] @ u)[:, None]
+        a[k:] -= 0.25 * u / np.linalg.norm(u)
+    a[:k] -= np.outer(psi, psi @ a[:k]) / (psi @ psi)
     return make_instance(a / np.max(np.abs(a)))
+
+
+def _planted_attainable(m, n, seed):
+    return _planted("attainable", m, n, seed)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "exp"])
@@ -347,3 +361,24 @@ def test_long_exact_run_objectives_never_rise(name, kind):
     assert trace.status == MAX_ITERS
     fs = trace.objectives()
     assert np.all(fs[1:] <= fs[:-1] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("line_search", boost.LINE_SEARCHES)
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+@pytest.mark.parametrize("regime, m, n", [("weak_learnable", 200, 60),
+                                          ("mixed", 120, 40), ("attainable", 80, 30)])
+def test_every_record_replays_to_its_objective_from_a_at_lam(regime, m, n, kind, line_search):
+    # The objective each record carries comes from margins the loop updated
+    # along one column; rebuilt from the trace alone it is sum g(A @ lam) to
+    # within roundoff, however BLAS orders its sums.
+    inst = _planted(regime, m, n, 0)
+    assert structure.regime_of(len(structure.hard_core(inst)), m) == regime
+    loss = make_loss(kind, m)
+    rf = RiskFunction(loss, m)
+    trace = run(inst, loss, RunConfig(line_search=line_search, grad_tol=0.0,
+                                      max_iters=2 * boost.REFRESH_EVERY + 10))
+    assert len(trace.records) == 2 * boost.REFRESH_EVERY + 10
+    steps = [(r.j, r.sign, r.alpha) for r in trace.records]
+    for r in trace.records:
+        expected = rf.value(inst.a @ lam_from_steps(n, steps[:r.t]))
+        assert abs(r.objective - expected) <= 1e-12 * expected, (r.t, r.objective, expected)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from boostcd import fixtures, structure
 from boostcd.instance import (
+    BoostInstance,
     InstanceValidationError,
     atomic_write_text,
     from_csv,
@@ -100,6 +102,26 @@ def test_json_error_messages():
         from_json('{"m": 1, "n": 1, "entries": [[{}]]}')  # non-numeric entry
 
 
+def _entries_json(entries, m=1, n=2):
+    return json.dumps({"m": m, "n": n, "entries": entries})
+
+
+def test_json_rejects_numeric_strings():
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        from_json(_entries_json([["0.5", "1"]]))
+
+
+def test_json_rejects_boolean_entries():
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        from_json(_entries_json([[True, False]]))
+
+
+@pytest.mark.parametrize("m", [True, 1.0])
+def test_json_rejects_a_shape_that_is_not_an_integer(m):
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        from_json(_entries_json([[0.5, 1.0]], m=m))
+
+
 def test_csv_error_messages():
     with pytest.raises(ValueError):
         from_csv("")
@@ -132,3 +154,40 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_text() == "new"
     leftovers = [f for f in os.listdir(tmp_path) if f != "out.txt"]
     assert leftovers == []
+
+
+def _construction_paths(tmp_path):
+    """(name, instance) for every way the package builds an instance."""
+    entries = [[0.5, -1.0, 0.25], [1.0, 0.0, -0.5], [-0.125, 0.75, 1.0], [0.0, 1.0, 0.5]]
+    inst = make_instance(entries)
+    jpath, cpath = tmp_path / "inst.json", tmp_path / "inst.csv"
+    write_instance(inst, jpath)
+    write_instance(inst, cpath)
+    paths = [
+        ("make_instance(list)", inst),
+        ("make_instance(int list)", make_instance([[1, 0], [0, -1], [-1, 1]])),
+        ("make_instance(C array)", make_instance(np.ascontiguousarray(entries))),
+        ("make_instance(F array)", make_instance(np.asfortranarray(entries))),
+        ("BoostInstance(inst.a)", BoostInstance(inst.a)),
+        ("from_json", from_json(to_json(inst))),
+        ("from_csv", from_csv(to_csv(inst))),
+        ("read_instance(json)", read_instance(jpath)),
+        ("read_instance(csv)", read_instance(cpath)),
+        ("row_subset", inst.row_subset([3, 0, 2])),
+        ("random_instance", fixtures.random_instance(np.random.default_rng(0), 6, 4)),
+        ("random_by_regime", fixtures.random_by_regime("mixed", 0, entries="ternary")),
+    ]
+    paths += [(f"fixture {name}", make()) for name, make in fixtures.FIXTURES.items()]
+    dec = structure.decompose(fixtures.confidence_4x3())
+    paths += [("decompose off_core", dec.off_core), ("decompose core", dec.core)]
+    return paths
+
+
+def test_every_construction_path_stores_one_read_only_column_major_matrix(tmp_path):
+    for name, inst in _construction_paths(tmp_path):
+        a = inst.a
+        assert a.dtype == np.float64, name
+        assert a.flags.f_contiguous and not a.flags.writeable, name
+        for j in range(inst.n):
+            col = a[:, j]
+            assert col.flags.c_contiguous and np.shares_memory(col, a), (name, j)
