@@ -8,10 +8,10 @@ binary doubles bit-exactly.
 
 The matrix is stored once, as a read-only float64 array in column-major
 (Fortran) order, whatever it was built from.  The descent loop reads one
-column a_j per line-search evaluation and A^T w once per step, and both
-are contiguous in that order; A @ lam, which only the loop's periodic
-rebuilds compute, and the structure analysis's row gathers are the reads
-that pay for the strides.
+column a_j at each line-search evaluation and forms A^T w, one dot
+product per column, at each step; both read contiguous memory in that
+order.  A @ lam, which only the loop's periodic rebuilds compute, and
+the structure analysis's row gathers read across the columns instead.
 """
 
 from __future__ import annotations

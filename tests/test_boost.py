@@ -295,17 +295,13 @@ def _planted(regime, m, n, seed):
     return make_instance(a / np.max(np.abs(a)))
 
 
-def _planted_attainable(m, n, seed):
-    return _planted("attainable", m, n, seed)
-
-
 @pytest.mark.parametrize("kind", ["logistic", "exp"])
 def test_wolfe_runs_past_the_roundoff_floor_to_the_gradient_tolerance(kind):
     # Near the optimum the decrease the Wolfe test asks for drops below
     # the roundoff of the objective (about 1e-14 here, at gradients near
     # 3e-7); the search must still find steps down to grad_tol 1e-10
     # instead of exhausting its bisection budget.
-    inst = _planted_attainable(50, 20, 0)
+    inst = _planted("attainable", 50, 20, 0)
     loss = make_loss(kind, inst.m)
     trace = run(inst, loss, RunConfig())
     assert trace.status == boost.GRADIENT_BELOW_TOL
