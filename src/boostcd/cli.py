@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boost, fixtures, structure
 from .boost import RunConfig, Trace, lam_from_steps, run
-from .instance import atomic_write_text, read_instance, to_json, write_instance
+from .instance import atomic_write_text, read_instance, to_json
 from .linesearch import C1, C2
 from .losses import LOGISTIC, KINDS, make_loss, RiskFunction
 
@@ -102,10 +102,7 @@ def cmd_gen(args) -> int:
     else:
         known = ", ".join(sorted(fixtures.FIXTURES))
         raise ValueError(f"unknown fixture {args.name!r}; known: {known}, random")
-    if args.out:
-        write_instance(inst, args.out)
-    else:
-        sys.stdout.write(to_json(inst))
+    _emit(to_json(inst), args.out)
     return 0
 
 
@@ -146,7 +143,7 @@ def _series(trace: Trace):
 
 def _rates_weak_learnable():
     inst = fixtures.weaklearn_3x3()
-    gamma = structure._gamma_lp(inst)
+    gamma = structure.gamma_classical(inst)
     loss = make_loss("exp", inst.m)
     f0 = inst.m * 1.0
     target = 1e-6

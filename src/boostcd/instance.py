@@ -2,9 +2,9 @@
 
 An instance is an m-by-n real matrix with entries in [-1, 1]: entry
 (i, j) is the negated signed prediction -y_i * h_j(x_i) of weak learner
-j on example i, so negative margins A @ lam are good.  Serialization
-uses decimal strings with 17 significant digits, which round-trip
-binary doubles bit-exactly.
+j on example i, so negative margins A @ lam are good.  Instances are
+stored as JSON, each entry written as the shortest decimal string that
+reads back as the same binary double, so the round trip is bit-exact.
 
 The matrix is stored once, as a read-only float64 array in column-major
 (Fortran) order, whatever it was built from.  The descent loop reads one
@@ -87,30 +87,24 @@ def make_instance(entries) -> BoostInstance:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _rows_text(a: np.ndarray, sep: str):
-    """Each row of ``a`` as its entries joined by ``sep``, with 17
-    significant decimal digits (lossless for binary64); one row is
-    converted to Python floats at a time."""
-    for row in a:
-        yield sep.join(["%.17g" % v for v in row.tolist()])
-
-
 def to_json(inst: BoostInstance) -> str:
-    rows = ",\n    ".join("[" + row + "]" for row in _rows_text(inst.a, ", "))
+    # one row is converted to Python floats at a time; repr writes the
+    # shortest decimal that reads back as the same double, -0.0 included
+    rows = ",\n    ".join("[" + ", ".join(map(repr, row.tolist())) + "]" for row in inst.a)
     return (
         '{\n  "m": %d,\n  "n": %d,\n  "entries": [\n    %s\n  ]\n}\n'
         % (inst.m, inst.n, rows)
     )
 
 
-def _parse_json(text: str):
+def _load(parse, source) -> BoostInstance:
+    """The instance in ``parse(source)``: ``json.loads`` of a text or
+    ``json.load`` of an open file, which drops the file's text before the
+    matrix is built from the parsed lists."""
     try:
-        return json.loads(text)
+        obj = parse(source)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
-
-
-def _from_parsed(obj) -> BoostInstance:
     if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
         raise ValueError('instance JSON needs keys "m", "n", "entries"')
     for key in ("m", "n"):
@@ -130,27 +124,7 @@ def _from_parsed(obj) -> BoostInstance:
 
 
 def from_json(text: str) -> BoostInstance:
-    return _from_parsed(_parse_json(text))
-
-
-def to_csv(inst: BoostInstance) -> str:
-    return "\n".join(_rows_text(inst.a, ",")) + "\n"
-
-
-def from_csv(text: str) -> BoostInstance:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"malformed instance CSV at line {lineno}: {exc}") from exc
-    if not rows:
-        raise ValueError("instance CSV is empty")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("instance CSV rows have unequal lengths")
-    return make_instance(rows)
+    return _load(json.loads, text)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -173,17 +147,8 @@ def atomic_write_text(path, text: str) -> None:
 
 def read_instance(path) -> BoostInstance:
     with open(path, "r") as fh:
-        text = fh.read()
-    name = str(path).lower()
-    if name.endswith(".json") or text.lstrip().startswith("{"):
-        # the text is about as large as the parsed lists; drop it before
-        # the matrix is built from them
-        obj = _parse_json(text)
-        del text
-        return _from_parsed(obj)
-    return from_csv(text)
+        return _load(json.load, fh)
 
 
 def write_instance(inst: BoostInstance, path) -> None:
-    text = to_csv(inst) if str(path).lower().endswith(".csv") else to_json(inst)
-    atomic_write_text(path, text)
+    atomic_write_text(path, to_json(inst))

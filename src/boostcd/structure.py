@@ -19,8 +19,11 @@ the cone has a vector positive on its whole support), solved by the
 interior-point method of :mod:`boostcd.lp`, whose limit is strictly
 complementary, so the core is read off its solution with no crossover.
 That solution is the dual witness and its row multipliers give the
-primal one, so :func:`analyze` solves that LP and, for a weakly
-learnable instance only, one more for the rate gamma: an LP with one
+primal one.  Each row block is factored once (:func:`_dual_core`): the
+pivoted QR of the nonzero rows gives the LP its rows and the primal
+witness, and on a mixed instance one of the core rows projects both
+witnesses onto the core's kernels.  For a weakly learnable instance
+only, :func:`analyze` solves one more LP, for the rate gamma, with one
 row per weak learner (:func:`_gamma_lp`), whose solution and
 multipliers bracket gamma from both sides.  Strict inequalities are
 compiled to margin-1 form, which the cone's scale invariance makes
@@ -85,9 +88,19 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     (s > 0 on the core), so Q_r y is 0 on the core and <= -1 off it, and
     lam solving A lam = Q_r y is the Gordan witness when the core is
     empty and the Motzkin one when it is proper.  The core is read as
-    t > 1/2; psi is t + s on it, and both witnesses are purified by
-    projection: psi onto ker(A_core^T), lam onto ker(A_core).  With no
-    row off the core there is no primal witness, and lam is left zero.
+    t > 1/2.  With no row off the core there is no primal witness, and
+    lam is left zero.
+
+    Each row block is factored once.  The pivoted QR A P = Q R that
+    gives the LP its rows gives lam as the basic solution
+    (P^T lam)[:rank] = R11^-1 y; R is upper triangular, so A lam = Q_r y.
+    A mixed instance factors its core rows once, A_core P_c = Q_c R_c,
+    for both witnesses.  psi, t + s on the core, is projected onto
+    ker(A_core^T) orthogonally by Q_c.  lam, whose core residual is
+    roundoff, is projected onto ker(A_core) obliquely by R_c: with
+    u = P_c^T lam, u[:r] -= R_c11^-1 (R_c[:r] u) makes R_c[:r] u = 0, and
+    R_c's rows below the rank r are below the rank tolerance, so
+    A_core lam = Q_c R_c u is 0 to that tolerance.
 
     A zero row of A is in the core (psi = e_i) and would give s_i an
     unbounded ray, so zero rows are set aside before the solve.
@@ -101,7 +114,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     if nz.size:
         b = a[nz]
         k = nz.size
-        q, rank = _pivoted_qr(b)
+        q, r, piv, rank = _pivoted_qr(b)
         q_r = q[:, :rank]
         x, y = solve(np.hstack([q_r.T, q_r.T]), np.zeros(rank),
                      np.concatenate([-np.ones(k), np.zeros(k)]),
@@ -112,11 +125,12 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
             # the core block is b, whose factor is in hand
             psi[nz] = _project_out(q, rank, x[:k] + x[k:])
         else:
-            lam = np.linalg.lstsq(b, q_r @ y, rcond=None)[0]
+            lam[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], y)
             if np.any(in_core):
-                b_core = b[in_core]
-                psi[nz[in_core]] = _kernel_projection(b_core, (x[:k] + x[k:])[in_core])
-                lam = _kernel_projection(b_core.T, lam)
+                qc, rc, pc, rc_rank = _pivoted_qr(b[in_core])
+                psi[nz[in_core]] = _project_out(qc, rc_rank, (x[:k] + x[k:])[in_core])
+                lam[pc[:rc_rank]] -= scipy.linalg.solve_triangular(
+                    rc[:rc_rank, :rc_rank], rc[:rc_rank] @ lam[pc])
     return [int(i) for i in np.flatnonzero(core)], psi, lam
 
 
@@ -233,16 +247,16 @@ def _gamma_lp(inst: BoostInstance) -> float:
     return edge
 
 
-def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Thin m x min(m, n) Q of a column-pivoted QR of A (Businger-Golub)
-    and A's numerical rank.
+def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Thin factors Q (m x min(m, n)) and R of a column-pivoted QR
+    A P = Q R (Businger-Golub), the column pivots, and A's numerical rank.
 
     The rank counts the |diag R| above KERNEL_RANK_TOL times the largest
     column norm, so the first ``rank`` columns of Q span range(A).
     """
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
-    return q, int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    return q, r, piv, int(np.count_nonzero(np.abs(np.diag(r)) > tol))
 
 
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -250,15 +264,16 @@ def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Q_r (m x rank) is the thin pivoted-QR factor spanning range(A), with
     the rank decided by :func:`_pivoted_qr`: O(m n^2) time and O(m n)
-    memory; no m x m Q is formed.  One re-projection keeps A^T of the result at roundoff.  An
-    empty kernel (rank == m) gives exact zeros.
+    memory; no m x m Q is formed.  One re-projection keeps A^T of the
+    result at roundoff.  An empty kernel (rank == m) gives exact zeros.
     """
-    return _project_out(*_pivoted_qr(a), w)
+    q, _, _, rank = _pivoted_qr(a)
+    return _project_out(q, rank, w)
 
 
 def _project_out(q: np.ndarray, rank: int, w: np.ndarray) -> np.ndarray:
-    """:func:`_kernel_projection` from A's factor ``q, rank`` as
-    :func:`_pivoted_qr` returns it."""
+    """:func:`_kernel_projection` from A's factor ``q`` and rank as
+    :func:`_pivoted_qr` returns them."""
     m = q.shape[0]
     if rank == m:
         return np.zeros(m)
@@ -311,7 +326,6 @@ class StructureReport:
     regime: str
     hard_core: tuple
     rows_off_core: tuple
-    rows_core: tuple
     gamma_classical: float
     witness_primal: Optional[tuple]
     witness_dual: Optional[tuple]
@@ -323,7 +337,6 @@ class StructureReport:
             "regime": self.regime,
             "hard_core": list(self.hard_core),
             "rows_off_core": list(self.rows_off_core),
-            "rows_core": list(self.rows_core),
             "gamma_classical": self.gamma_classical,
             "witness_primal": None if self.witness_primal is None else list(self.witness_primal),
             "witness_dual": None if self.witness_dual is None else list(self.witness_dual),
@@ -366,7 +379,6 @@ def analyze(inst: BoostInstance) -> StructureReport:
         regime=regime,
         hard_core=tuple(i + 1 for i in core0),
         rows_off_core=tuple(i + 1 for i in off0),
-        rows_core=tuple(i + 1 for i in core0),
         gamma_classical=gamma,
         witness_primal=None if lam is None else tuple(float(v) for v in lam),
         witness_dual=None if psi is None else tuple(float(v) for v in psi),

@@ -11,9 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import boostcd
-from boostcd import boost, fixtures, structure
+from boostcd import boost, cli, fixtures, structure
 from boostcd.instance import make_instance
 from boostcd.losses import KINDS, LOGISTIC, RiskFunction, make_loss
 from boostcd.structure import (
@@ -64,7 +65,6 @@ def test_fixture_classification(name):
     assert rep.regime == regime
     assert rep.hard_core == core
     assert hard_core(inst) == list(core)
-    assert rep.rows_core == core
     assert rep.rows_off_core == tuple(
         i for i in range(1, inst.m + 1) if i not in core
     )
@@ -102,7 +102,7 @@ def test_report_witnesses_verify():
     w = np.array(rep.witness_primal)
     psi = np.array(rep.witness_dual)
     off = [i - 1 for i in rep.rows_off_core]
-    core = [i - 1 for i in rep.rows_core]
+    core = [i - 1 for i in rep.hard_core]
     assert np.all(inst.a[off] @ w <= -1.0 + 1e-8)
     assert np.max(np.abs(inst.a[core] @ w)) <= 1e-8
     assert np.all(psi[off] == 0.0)
@@ -296,7 +296,7 @@ def test_report_json_shape():
     assert text.endswith("\n")
     obj = json.loads(text)
     assert list(obj) == [
-        "m", "n", "regime", "hard_core", "rows_off_core", "rows_core",
+        "m", "n", "regime", "hard_core", "rows_off_core",
         "gamma_classical", "witness_primal", "witness_dual",
     ]
     assert obj["m"] == 3 and obj["n"] == 2
@@ -305,19 +305,26 @@ def test_report_json_shape():
     assert obj["gamma_classical"] == 0.0
 
 
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_analyze_solves_at_most_two_lps(name, monkeypatch):
-    calls = []
-    solve = structure.solve
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(structure, "solve", counting)
+    # and factors each row block once: the nonzero rows, and on a mixed
+    # instance the core rows; no least-squares solve refactors them
+    calls, factors, lstsq = [], [], []
+    monkeypatch.setattr(structure, "solve", _counting(calls, structure.solve))
+    monkeypatch.setattr(scipy.linalg, "qr", _counting(factors, scipy.linalg.qr))
+    monkeypatch.setattr(np.linalg, "lstsq", _counting(lstsq, np.linalg.lstsq))
     inst = fixtures.FIXTURES[name]()
     rep = analyze(inst)
     assert len(calls) == {WEAK_LEARNABLE: 2, ATTAINABLE: 1, MIXED: 1}[rep.regime]
+    assert len(factors) == {WEAK_LEARNABLE: 1, ATTAINABLE: 1, MIXED: 2}[rep.regime]
+    assert lstsq == []
     if rep.regime == WEAK_LEARNABLE:
         # the gamma LP has one row per weak learner
         assert calls[1][0].shape == (inst.n, inst.m + inst.n)
@@ -437,8 +444,8 @@ def test_analyze_raises_on_a_dual_witness_outside_the_kernel(entry, monkeypatch)
         entry(inst)
 
 
-@pytest.mark.parametrize("name", ["mixed-3x2", "weaklearn-3x3"])
-def test_analyze_raises_on_a_primal_witness_that_fails_an_off_core_row(name, monkeypatch):
+@pytest.mark.parametrize("name", ["mixed-3x2", "weaklearn-3x3", "rates"])
+def test_analyze_raises_on_a_primal_witness_that_fails_an_off_core_row(name, monkeypatch, capsys):
     dual_core = structure._dual_core
 
     def flipped(instance):
@@ -446,6 +453,11 @@ def test_analyze_raises_on_a_primal_witness_that_fails_an_off_core_row(name, mon
         return core0, psi, -lam
 
     monkeypatch.setattr(structure, "_dual_core", flipped)
+    if name == "rates":
+        # the CLI's rate battery reads gamma behind the verified core too
+        assert cli.main(["rates", "--loss", "exp"]) == 1
+        assert "A_off @ lam < 0" in capsys.readouterr().err
+        return
     with pytest.raises(InvariantViolationError, match="A_off @ lam < 0"):
         analyze(fixtures.FIXTURES[name]())
 
