@@ -67,6 +67,13 @@ def test_json_round_trip_bit_exact():
     assert to_json(back) == to_json(inst)
 
 
+def test_json_writes_negative_zero_as_a_float():
+    # "-0" would read back as the integer 0 in any JSON reader
+    entries = json.loads(to_json(make_instance([[-0.0, 0.0]])))["entries"]
+    assert [type(v) for v in entries[0]] == [float, float]
+    assert [math.copysign(1.0, v) for v in entries[0]] == [-1.0, 1.0]
+
+
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                min_side=1, max_side=5),
                   elements=st.floats(min_value=-1.0, max_value=1.0)))

@@ -110,6 +110,39 @@ def test_report_witnesses_verify():
     assert np.max(np.abs(inst.a.T @ psi)) <= 1e-8
 
 
+def test_primal_witness_is_a_basic_solution():
+    # lam is read off the pivoted QR of A, so it has at most rank(A)
+    # nonzeros; a minimum-norm solve would spread it over all 30 learners
+    inst = fixtures.random_instance(np.random.default_rng(3), 12, 30, "ternary")
+    rep = analyze(inst)
+    assert rep.regime == WEAK_LEARNABLE
+    lam = np.array(rep.witness_primal)
+    assert np.count_nonzero(lam) <= np.linalg.matrix_rank(inst.a) < inst.n
+    assert np.all(inst.a @ lam <= -1.0 + 1e-8)
+
+
+def _mixed_cases():
+    for seed in range(3):
+        yield fixtures.random_by_regime(MIXED, seed, m=20, n=8, entries="ternary")
+    # a core of ten opposite pairs: rank 10 of 40 learners
+    w = fixtures.random_instance(np.random.default_rng(3), 50, 40, "sign").a
+    yield make_instance(np.vstack([w, -w[:10]]))
+
+
+@pytest.mark.parametrize("inst", _mixed_cases())
+def test_mixed_primal_witness_annihilates_the_core_to_roundoff(inst):
+    # the oblique purification by the core rows' R leaves A_core @ lam at
+    # roundoff, far inside the WITNESS_TOL that verify_witness grants
+    rep = analyze(inst)
+    assert rep.regime == MIXED
+    lam = np.array(rep.witness_primal)
+    core = [i - 1 for i in rep.hard_core]
+    off = [i - 1 for i in rep.rows_off_core]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(inst.a[core] @ lam)) <= inst.n * eps * np.abs(lam).sum()
+    assert np.all(inst.a[off] @ lam <= -1.0 + 1e-8)
+
+
 def test_decompose_row_split():
     inst = fixtures.mixed_3x2()
     dec = decompose(inst)
