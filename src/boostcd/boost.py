@@ -8,10 +8,13 @@ the gradient sup-norm falls below tolerance, an optional target
 objective is reached, or the iteration cap is hit.
 
 A step updates the margins A @ lam in O(m), from the ones its line
-search already evaluated, and runs the unchecked loss kernels on them.
-One rule in boost_step recomputes them from lam and checks the running
-ones: every REFRESH_EVERY steps, and where a stopping rule holds.  Only
-_state_at takes a lam from outside; it checks margins and risk are finite.
+search already evaluated, and runs the unchecked loss kernels on them;
+it checks only the scalar grad_inf (above grad_tol, and finite: NaN or
+inf exactly when a gradient entry is), then picks the best coordinate.
+One rule in boost_step rebuilds the state from A @ lam, checking margins
+and risk are finite and the running margins did not drift: every
+REFRESH_EVERY steps, and where a stopping rule holds.  Only _state_at
+takes a lam from outside, with the same finiteness checks.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class MarginDriftError(RuntimeError):
 
 
 def _norm_inf(v) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,8 @@ class ApproxSelector:
 
 
 def _best_coordinate(g: np.ndarray) -> tuple:
-    j = int(np.argmax(np.abs(g)))  # ties: lowest index
-    sign = -1 if g[j] > 0.0 else 1
-    return j, sign
+    j = int(np.abs(g).argmax())  # ties: lowest index
+    return j, (-1 if g[j] > 0.0 else 1)
 
 
 def select_coordinate(grad, selector: Optional[ApproxSelector] = None) -> tuple:
@@ -116,8 +118,8 @@ class IterateState:
     (see boost_step); the objective, dual weights and gradient are
     computed from ``margins``.  ``grad_inf`` is the gradient sup-norm,
     the edge of the best weak learner, computed once with the state and
-    read by boost_step's stationarity check and closed-form step, the
-    stopping rules and the trace."""
+    read by boost_step's stationarity and finiteness checks and closed-form
+    step, the stopping rules and the trace."""
 
     lam: np.ndarray
     margins: np.ndarray
@@ -136,8 +138,8 @@ def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
     grad = inst.a.T @ weights
     for arr in (lam, margins, weights, grad):
         arr.flags.writeable = False
-    return IterateState(lam, margins, float(np.sum(_g(rf.loss.kind, margins))), weights,
-                        grad, _norm_inf(grad), int(t))
+    return IterateState(lam, margins, float(np.add.reduce(_g(rf.loss.kind, margins))),
+                        weights, grad, _norm_inf(grad), int(t))
 
 
 def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
@@ -215,7 +217,10 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         raise StationaryGradientError(
             f"gradient sup-norm {state.grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
         )
-    j, sign = select_coordinate(state.grad, cfg.selector)
+    if not math.isfinite(state.grad_inf):  # max |grad| is NaN or inf iff an entry is
+        raise ValueError("grad must be finite")
+    j, sign = (_best_coordinate(state.grad) if cfg.selector is None
+               else select_coordinate(state.grad, cfg.selector))
     col = inst.a[:, j]
     base = state.margins
     s = float(sign)
@@ -224,11 +229,15 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     # ln m); a Wolfe trial point past it gives +inf and fails the decrease test.
     kind = rf.loss.kind
 
-    def phi(alpha):
-        return float(np.sum(_g(kind, base + (s * alpha) * col)))
+    def phi(alpha):  # at the trial margins base + (s * alpha) * col, in one buffer
+        x = col * (s * alpha)
+        x += base
+        return float(np.add.reduce(_g(kind, x)))
 
     def dphi(alpha):
-        return s * float(col @ _gp(kind, base + (s * alpha) * col))
+        x = col * (s * alpha)
+        x += base
+        return s * float(col @ _gp(kind, x))
 
     if cfg.line_search == linesearch.WOLFE:
         res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)

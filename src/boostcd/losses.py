@@ -13,7 +13,8 @@ set {x : g(x) <= m * g(0)}.  For the exponential loss eta = 1 exactly;
 for the logistic loss it grows with the sample size m and is
 deliberately conservative.  No step rule evaluates g'' itself, so it
 stays internal (``_gpp``).  RiskFunction is the checked entry for
-outside margins; the descent loop runs ``_g`` and ``_gp`` on its own.
+outside margins.  ``_g`` and ``_gp`` take float64 arrays and convert
+nothing: the descent loop runs them on margins it built itself.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ def make_loss(kind: str, m: int) -> LossSpec:
 
 def _softplus(x):
     # ln(1 + e^x) without overflow on either tail
-    x = np.asarray(x, dtype=float)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
@@ -81,7 +81,7 @@ def _g(kind, x):
 def _gp(kind, x):
     if kind == EXPONENTIAL:
         return np.exp(x)
-    return expit(np.asarray(x, dtype=float))
+    return expit(x)
 
 
 def _gpp(kind, x):

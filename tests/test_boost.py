@@ -276,6 +276,52 @@ def test_descent_loop_runs_the_loss_kernels_unchecked(monkeypatch):
     assert calls == []
 
 
+def test_descent_loop_selects_without_select_coordinate(monkeypatch):
+    # With no selector the loop picks the best coordinate itself, its
+    # checks decided from grad_inf; an ApproxSelector still goes through
+    # the public select_coordinate, once per step.
+    calls = []
+    checked = boost.select_coordinate
+
+    def counting(grad, selector=None):
+        calls.append(selector)
+        return checked(grad, selector)
+
+    monkeypatch.setattr(boost, "select_coordinate", counting)
+    inst = fixtures.mixed_3x2()
+    loss = make_loss(LOGISTIC, inst.m)
+    trace = run(inst, loss, RunConfig(grad_tol=0.0, max_iters=200))
+    assert len(trace.records) == 200 and calls == []
+    selector = ApproxSelector(0.5)
+    approx = run(inst, loss, RunConfig(grad_tol=0.0, max_iters=20, selector=selector))
+    assert calls == [selector] * 20
+    assert approx.to_csv() == run(inst, loss, RunConfig(grad_tol=0.0, max_iters=20)).to_csv()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boost_step_rejects_a_non_finite_gradient(bad):
+    inst = fixtures.confidence_4x3()
+    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    state = initial_state(inst, rf)
+    grad = np.array(state.grad)
+    grad[1] = bad
+    state = dataclasses.replace(state, grad=grad, grad_inf=float(np.max(np.abs(grad))))
+    for cfg in (RunConfig(), RunConfig(selector=ApproxSelector(0.5))):
+        with pytest.raises(ValueError, match="grad must be finite"):
+            boost_step(inst, rf, state, cfg)
+
+
+def test_run_rejects_an_inadmissible_selector_pick():
+    def ascending(g):  # the best coordinate, but stepped uphill
+        j = int(np.argmax(np.abs(g)))
+        return j, (1 if g[j] > 0 else -1)
+
+    inst = fixtures.confidence_4x3()
+    cfg = RunConfig(max_iters=5, selector=ApproxSelector(0.5, ascending))
+    with pytest.raises(ValueError, match="violates the c0 admissibility bound"):
+        run(inst, make_loss(LOGISTIC, inst.m), cfg)
+
+
 def _planted(regime, m, n, seed):
     # The core rows are orthogonal to a positive psi, so psi > 0 is in
     # ker(A_core^T) and every core row is in the hard core.  Off-core rows
@@ -378,3 +424,24 @@ def test_every_record_replays_to_its_objective_from_a_at_lam(regime, m, n, kind,
     for r in trace.records:
         expected = rf.value(inst.a @ lam_from_steps(n, steps[:r.t]))
         assert abs(r.objective - expected) <= 1e-12 * expected, (r.t, r.objective, expected)
+
+
+@pytest.mark.parametrize("line_search", boost.LINE_SEARCHES)
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+@pytest.mark.parametrize("regime, m, n", [("weak_learnable", 120, 40),
+                                          ("mixed", 120, 40), ("attainable", 80, 30)])
+def test_every_step_state_matches_the_checked_loss_entry(regime, m, n, kind, line_search):
+    # The loop runs the unchecked kernels on margins it built itself; every
+    # state boost_step returns, the running-margin ones included, carries
+    # the numbers RiskFunction's checked entry computes from its margins.
+    inst = _planted(regime, m, n, 1)
+    rf = RiskFunction(make_loss(kind, m), m)
+    cfg = RunConfig(line_search=line_search, grad_tol=0.0)
+    state = initial_state(inst, rf)
+    for t in range(1, boost.REFRESH_EVERY + 11):
+        state = boost_step(inst, rf, state, cfg).state
+        assert state.t == t
+        weights = rf.grad(state.margins)
+        assert state.objective == rf.value(state.margins), t
+        assert state.dual_weights.tobytes() == weights.tobytes(), t
+        assert state.grad_inf == float(np.max(np.abs(inst.a.T @ weights))), t
