@@ -9,7 +9,6 @@ from .boost import (
     boost_step,
     initial_state,
     run,
-    select_coordinate,
 )
 from .instance import (
     BoostInstance,
@@ -17,7 +16,7 @@ from .instance import (
     read_instance,
     write_instance,
 )
-from .linesearch import StepResult, closed_form_step, exact_search, wolfe_search
+from .linesearch import StepResult, exact_search, wolfe_search
 from .losses import (
     EXPONENTIAL,
     LOGISTIC,
@@ -45,9 +44,8 @@ __all__ = [
     "ApproxSelector", "BoostInstance", "DualCertificate", "EXPONENTIAL",
     "IterateState", "LOGISTIC", "LossSpec", "RiskFunction", "RunConfig",
     "StepResult", "StructureReport", "Trace", "analyze", "boost_step",
-    "closed_form_step", "conj_eval", "conj_grad", "decompose",
-    "dual_certificate", "exact_search", "gamma_classical", "hard_core",
-    "initial_state", "loss_eval", "loss_grad", "make_instance", "make_loss",
-    "read_instance", "run", "select_coordinate", "wolfe_search",
-    "write_instance",
+    "conj_eval", "conj_grad", "decompose", "dual_certificate",
+    "exact_search", "gamma_classical", "hard_core", "initial_state",
+    "loss_eval", "loss_grad", "make_instance", "make_loss", "read_instance",
+    "run", "wolfe_search", "write_instance",
 ]

@@ -10,11 +10,12 @@ objective is reached, or the iteration cap is hit.
 A step updates the margins A @ lam in O(m), from the ones its line
 search already evaluated, and runs the unchecked loss kernels on them;
 it checks only the scalar grad_inf (above grad_tol, and finite: NaN or
-inf exactly when a gradient entry is), then picks the best coordinate.
-One rule in boost_step rebuilds the state from A @ lam, checking margins
-and risk are finite and the running margins did not drift: every
-REFRESH_EVERY steps, and where a stopping rule holds.  Only _state_at
-takes a lam from outside, with the same finiteness checks.
+inf exactly when a gradient entry is), then picks the coordinate by
+_select, with or without a selector.  One rule in boost_step rebuilds
+the state from A @ lam, checking margins and risk are finite and the
+running margins did not drift: every REFRESH_EVERY steps, and where a
+stopping rule holds.  Only _state_at takes a lam from outside, with the
+same finiteness checks.
 """
 
 from __future__ import annotations
@@ -73,36 +74,22 @@ class ApproxSelector:
             raise ValueError(f"c0 must lie in (0, 1], got {self.c0}")
 
 
-def _best_coordinate(g: np.ndarray) -> tuple:
-    j = int(np.abs(g).argmax())  # ties: lowest index
-    return j, (-1 if g[j] > 0.0 else 1)
+def _select(g: np.ndarray, best: float, selector: Optional[ApproxSelector]) -> tuple:
+    """The step's (j, sign) for a gradient ``g`` of sup-norm ``best`` > 0.
 
-
-def select_coordinate(grad, selector: Optional[ApproxSelector] = None) -> tuple:
-    """Pick (j, sign) with sign * grad[j] = -|grad[j]|, maximizing |grad[j]|,
-    or, with an ApproxSelector that has a ``pick``, the admissible pair it
-    picks.
-
-    An all-zero gradient admits no descent coordinate and raises
-    ``StationaryGradientError``.
+    With no selector, or one without a ``pick``: the largest |g[j]|, ties
+    to the lowest index, with sign * g[j] = -|g[j]|.  With a ``pick``: the
+    pair it picks, which must be a column index, a sign of +-1, and
+    descend within the factor c0 of ``best``; otherwise ValueError.
     """
-    g = np.asarray(grad, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("grad must be a nonempty vector")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grad must be finite")
-    if not np.any(g != 0.0):
-        raise StationaryGradientError("gradient is identically zero")
-    if selector is not None and not isinstance(selector, ApproxSelector):
-        raise ValueError(f"bad selector: {selector!r}")
     if selector is None or selector.pick is None:
-        return _best_coordinate(g)
+        j = int(np.abs(g).argmax())  # ties: lowest index
+        return j, (-1 if g[j] > 0.0 else 1)
     j, sign = selector.pick(g)
     j = int(j)
     sign = int(sign)
     if sign not in (-1, 1) or not 0 <= j < g.size:
         raise ValueError(f"selector returned invalid pair ({j}, {sign})")
-    best = _norm_inf(g)
     if -(sign * g[j]) < selector.c0 * best * (1.0 - 1e-12):
         raise ValueError(
             f"selector pick ({j}, {sign}) violates the c0 admissibility bound: "
@@ -118,8 +105,8 @@ class IterateState:
     (see boost_step); the objective, dual weights and gradient are
     computed from ``margins``.  ``grad_inf`` is the gradient sup-norm,
     the edge of the best weak learner, computed once with the state and
-    read by boost_step's stationarity and finiteness checks and closed-form
-    step, the stopping rules and the trace."""
+    read by boost_step's stationarity and finiteness checks, selection and
+    closed-form step, the stopping rules and the trace."""
 
     lam: np.ndarray
     margins: np.ndarray
@@ -219,8 +206,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         )
     if not math.isfinite(state.grad_inf):  # max |grad| is NaN or inf iff an entry is
         raise ValueError("grad must be finite")
-    j, sign = (_best_coordinate(state.grad) if cfg.selector is None
-               else select_coordinate(state.grad, cfg.selector))
+    j, sign = _select(state.grad, state.grad_inf, cfg.selector)
     col = inst.a[:, j]
     base = state.margins
     s = float(sign)
@@ -247,8 +233,8 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
                 "closed-form steps unavailable: the curvature constant "
                 "overflowed for this sample size; use the wolfe search"
             )
-        alpha = linesearch.closed_form_step(state.grad_inf, state.objective, rf.loss.eta)
-        res = StepResult(alpha, 0)
+        # ||grad||_inf / (eta f): a safe step while g'' <= eta g on the level set
+        res = StepResult(state.grad_inf / (rf.loss.eta * state.objective), 0)
     else:
         res = linesearch.exact_search(dphi, dphi0=slope0)
 

@@ -1,14 +1,17 @@
 """Step-size selection along a descent ray.
 
-Three modes, all operating on the one-dimensional restriction
-phi(alpha) = f(x + alpha * v) of a convex objective:
+Two searches on the one-dimensional restriction phi(alpha) =
+f(x + alpha * v) of a convex objective, each given phi'(0) (and the
+Wolfe search phi(0)) by its caller:
 
 * ``wolfe_search``   bracketing/bisection for the sufficient-decrease and
                      curvature conditions with the constants C1 and C2,
-* ``closed_form_step``  a conservative explicit step from the level-set
-                     curvature constant eta,
 * ``exact_search``   Illinois regula falsi on phi' to |phi'| <= EXACT_TOL,
                      used by the convergence experiments.
+
+The third step rule, CLOSED_FORM, needs no search: boost_step takes the
+explicit step ||grad||_inf / (eta f) from the level-set curvature
+constant eta.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ class StepResult:
     evals: int
 
 
-def wolfe_search(phi, dphi, *, phi0: float | None = None,
-                 dphi0: float | None = None) -> StepResult:
+def wolfe_search(phi, dphi, *, phi0: float, dphi0: float) -> StepResult:
     """Find a step satisfying both progress conditions
 
         (1)  phi(alpha) <= phi(0) + alpha * C1 * phi'(0)     (decrease)
@@ -90,23 +92,16 @@ def wolfe_search(phi, dphi, *, phi0: float | None = None,
     moves the end that phi' points away from.  The band's width: phi is
     a sum of m loss terms, each correct to a few ulps, which numpy adds
     pairwise with an error of order log2(m) ulps of the sum (under 40
-    for any m that fits in memory); and phi(0) is often passed in from
-    the iterate's margins A @ lam rather than computed from the ray's
+    for any m that fits in memory); and boost_step passes in a phi(0)
+    computed from the iterate's margins A @ lam rather than from the ray's
     base + alpha * col, which moves it by a few ulps more (1-2 on planted
     50 x 20 instances).  A band of 64 eps |phi(0)| covers both.  A
     search whose midpoints all change phi by more than the band takes
     the same steps as without it.
 
-    ``phi0``/``dphi0`` may pass along already-computed values of
-    phi(0) and phi'(0).
+    ``phi0`` and ``dphi0`` are phi(0) and phi'(0), already known to the
+    caller; ``evals`` counts only the evaluations made here.
     """
-    evals = 0
-    if phi0 is None:
-        phi0 = float(phi(0.0))
-        evals += 1
-    if dphi0 is None:
-        dphi0 = float(dphi(0.0))
-        evals += 1
     if not dphi0 < 0.0:
         raise NotDescentDirectionError(f"phi'(0) = {dphi0!r} is not negative")
     band = ROUNDOFF_BAND * sys.float_info.epsilon * abs(phi0)
@@ -116,7 +111,7 @@ def wolfe_search(phi, dphi, *, phi0: float | None = None,
 
     hi = 1.0
     f_hi = float(phi(hi))
-    evals += 1
+    evals = 1
     doublings = 0
     while decreased(hi, f_hi):
         if doublings >= MAX_DOUBLINGS:
@@ -152,26 +147,9 @@ def wolfe_search(phi, dphi, *, phi0: float | None = None,
     raise LineSearchBudgetError("bisection budget exhausted", (lo, hi))
 
 
-def closed_form_step(grad_inf_norm: float, objective: float, eta: float) -> float:
-    """The explicit step ||grad||_inf / (eta * f).
-
-    Conservative but line-search free; valid whenever the loss satisfies
-    g'' <= eta * g on the current level set.
-    """
-    grad_inf_norm = float(grad_inf_norm)
-    objective = float(objective)
-    eta = float(eta)
-    if not objective > 0.0:
-        raise ValueError(f"objective must be positive, got {objective!r}")
-    if grad_inf_norm < 0.0:
-        raise ValueError("gradient norm must be nonnegative")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
-    return grad_inf_norm / (eta * objective)
-
-
-def exact_search(dphi, *, dphi0: float | None = None) -> StepResult:
-    """Near-stationary step: alpha > 0 with |phi'(alpha)| <= EXACT_TOL.
+def exact_search(dphi, *, dphi0: float) -> StepResult:
+    """Near-stationary step: alpha > 0 with |phi'(alpha)| <= EXACT_TOL,
+    given ``dphi0`` = phi'(0); ``evals`` counts the evaluations made here.
 
     Doubles an upper end until the derivative is decisively positive
     (> EXACT_TOL), then shrinks the bracket [lo, hi] with the Illinois
@@ -196,17 +174,13 @@ def exact_search(dphi, *, dphi0: float | None = None) -> StepResult:
     the infimum is not attained along the ray and ``RayUnboundedError``
     is raised.
     """
-    evals = 0
-    if dphi0 is None:
-        dphi0 = float(dphi(0.0))
-        evals += 1
     if not dphi0 < 0.0:
         raise NotDescentDirectionError(f"phi'(0) = {dphi0!r} is not negative")
 
     lo, hi = 0.0, 1.0
     d_lo = dphi0
     d_hi = float(dphi(hi))
-    evals += 1
+    evals = 1
     doublings = 0
     while d_hi <= EXACT_TOL:
         if doublings >= MAX_DOUBLINGS:

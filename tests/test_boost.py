@@ -19,36 +19,35 @@ from boostcd.boost import (
     initial_state,
     lam_from_steps,
     run,
-    select_coordinate,
 )
 from boostcd.instance import make_instance
 from boostcd.losses import LOGISTIC, RiskFunction, make_loss
 
 
-def test_select_coordinate_picks_largest_magnitude():
-    assert select_coordinate([-3.0, 2.0]) == (0, 1)
-    assert select_coordinate([2.0, -3.0]) == (1, 1)
-    assert select_coordinate([2.0, 2.0]) == (0, -1)  # sign opposes the gradient
+def _step_along(grad, selector=None):
+    """(j, sign) of a closed-form boost_step from confidence_4x3's start
+    with its gradient replaced by ``grad``; the closed form takes the
+    step without a line search along the made-up gradient."""
+    inst = fixtures.confidence_4x3()
+    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    grad = np.array(grad, dtype=float)
+    state = dataclasses.replace(initial_state(inst, rf), grad=grad,
+                                grad_inf=float(np.max(np.abs(grad))))
+    out = boost_step(inst, rf, state, RunConfig(line_search="closed", selector=selector))
+    assert out.state.lam[out.j] == out.sign * out.alpha
+    return out.j, out.sign
 
 
-def test_select_coordinate_ties_go_to_lowest_index():
-    assert select_coordinate([-1.0, -1.0, -1.0]) == (0, 1)
-    assert select_coordinate([1.0, -1.0]) == (0, -1)
+@pytest.mark.parametrize("selector", [None, ApproxSelector(0.5)])
+def test_step_picks_the_largest_magnitude_against_the_gradient(selector):
+    assert _step_along([-3.0, 2.0, 0.0], selector) == (0, 1)
+    assert _step_along([2.0, -3.0, 1.0], selector) == (1, 1)
+    assert _step_along([0.0, 2.0, 2.0], selector) == (1, -1)  # sign opposes the gradient
 
 
-def test_select_coordinate_rejects_bad_input():
-    with pytest.raises(StationaryGradientError):
-        select_coordinate([0.0, 0.0])
-    with pytest.raises(ValueError):
-        select_coordinate([1.0, math.nan])
-    with pytest.raises(ValueError):
-        select_coordinate([[1.0]])
-    with pytest.raises(ValueError):
-        select_coordinate([])
-    with pytest.raises(ValueError):
-        select_coordinate([1.0], selector="greedy")
-    with pytest.raises(ValueError):
-        select_coordinate([1.0], selector=0.5)
+def test_step_ties_go_to_the_lowest_index():
+    assert _step_along([-1.0, -1.0, -1.0]) == (0, 1)
+    assert _step_along([1.0, -1.0, 0.5]) == (0, -1)
 
 
 def test_approx_selector_validation():
@@ -59,21 +58,18 @@ def test_approx_selector_validation():
 
 
 def test_approx_selector_pick_admissibility():
-    g = np.array([-3.0, 2.0])
-    # without a pick it falls back to the best coordinate
-    assert select_coordinate(g, ApproxSelector(0.5)) == (0, 1)
+    g = [-3.0, 2.0, 0.0]
     # (1, -1) has directional derivative 2 >= 0.5 * 3: admissible
-    assert select_coordinate(g, ApproxSelector(0.5, lambda _: (1, -1))) == (1, -1)
+    assert _step_along(g, ApproxSelector(0.5, lambda _: (1, -1))) == (1, -1)
     # (1, +1) ascends; rejected no matter the factor
-    with pytest.raises(ValueError):
-        select_coordinate(g, ApproxSelector(0.5, lambda _: (1, 1)))
+    with pytest.raises(ValueError, match="violates the c0 admissibility bound"):
+        _step_along(g, ApproxSelector(0.5, lambda _: (1, 1)))
     # below the admissibility factor
-    with pytest.raises(ValueError):
-        select_coordinate(g, ApproxSelector(0.9, lambda _: (1, -1)))
-    with pytest.raises(ValueError):
-        select_coordinate(g, ApproxSelector(0.5, lambda _: (2, -1)))
-    with pytest.raises(ValueError):
-        select_coordinate(g, ApproxSelector(0.5, lambda _: (0, 0)))
+    with pytest.raises(ValueError, match="violates the c0 admissibility bound"):
+        _step_along(g, ApproxSelector(0.9, lambda _: (1, -1)))
+    for bad in ((3, -1), (-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="selector returned invalid pair"):
+            _step_along(g, ApproxSelector(0.5, lambda _, bad=bad: bad))
 
 
 def test_initial_state_values():
@@ -202,6 +198,17 @@ def test_lam_from_steps_rejects_malformed_steps(bad):
         lam_from_steps(2, [("1", "1", "0.25"), bad])
 
 
+def test_first_closed_form_step_on_mixed_instance():
+    # grad_inf 1/2, f = 3 ln 2 and the logistic eta for m = 3, 8 / (3 ln 2):
+    # the step ||grad||_inf / (eta f) is 1/16
+    inst = fixtures.mixed_3x2()
+    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    out = boost_step(inst, rf, initial_state(inst, rf), RunConfig(line_search="closed"))
+    assert (out.j, out.sign, out.evals) == (0, 1, 0)
+    assert out.alpha == 1.0 / 16.0
+    assert out.state.objective < 3 * math.log(2)
+
+
 def test_closed_form_rejects_overflowed_curvature():
     # at m = 1100 the logistic curvature constant overflows to inf and
     # closed-form steps would be zero; the step must refuse instead
@@ -276,26 +283,25 @@ def test_descent_loop_runs_the_loss_kernels_unchecked(monkeypatch):
     assert calls == []
 
 
-def test_descent_loop_selects_without_select_coordinate(monkeypatch):
-    # With no selector the loop picks the best coordinate itself, its
-    # checks decided from grad_inf; an ApproxSelector still goes through
-    # the public select_coordinate, once per step.
+def test_every_step_selects_through_one_rule(monkeypatch):
+    # With or without a selector, each step picks its coordinate by one
+    # call of boost._select; a selector without a pick steps as none does.
     calls = []
-    checked = boost.select_coordinate
+    select = boost._select
 
-    def counting(grad, selector=None):
+    def counting(g, best, selector):
         calls.append(selector)
-        return checked(grad, selector)
+        return select(g, best, selector)
 
-    monkeypatch.setattr(boost, "select_coordinate", counting)
+    monkeypatch.setattr(boost, "_select", counting)
     inst = fixtures.mixed_3x2()
     loss = make_loss(LOGISTIC, inst.m)
-    trace = run(inst, loss, RunConfig(grad_tol=0.0, max_iters=200))
-    assert len(trace.records) == 200 and calls == []
+    greedy = run(inst, loss, RunConfig(grad_tol=0.0, max_iters=20))
+    assert calls == [None] * 20
     selector = ApproxSelector(0.5)
     approx = run(inst, loss, RunConfig(grad_tol=0.0, max_iters=20, selector=selector))
-    assert calls == [selector] * 20
-    assert approx.to_csv() == run(inst, loss, RunConfig(grad_tol=0.0, max_iters=20)).to_csv()
+    assert calls == [None] * 20 + [selector] * 20
+    assert approx.to_csv() == greedy.to_csv()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

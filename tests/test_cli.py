@@ -226,6 +226,26 @@ def test_rates_solves_two_lps(capsys, monkeypatch):
     assert [g.shape for g, *_ in calls] == [(inst.n, 2 * inst.m), (inst.n, inst.m + inst.n)]
 
 
+def test_rates_exits_one_when_a_check_fails(capsys, monkeypatch):
+    # a reference optimum far below the mixed fixture's risk leaves the
+    # Wolfe suboptimality flat, outside its inverse-t envelope
+    monkeypatch.setitem(fixtures.REFERENCE_OPTIMA, ("mixed-3x2", "logistic"), 0.0)
+    code, out, err = _run(capsys, "rates", "--loss", "logistic")
+    assert code == 1
+    assert "rate checks failed" in err
+    report = json.loads(out)
+    assert report["all_checks_passed"] is False
+    assert report["mixed"]["wolfe"]["envelope_ok"] is False
+
+
+@pytest.mark.parametrize("loss", ["logistic", "exp"])
+def test_rates_rejects_an_empty_attainable_fit_window(capsys, monkeypatch, loss):
+    monkeypatch.setitem(fixtures.REFERENCE_OPTIMA, ("attainable-slow", loss), 1e9)
+    code, _, err = _run(capsys, "rates", "--loss", loss)
+    assert code == 1
+    assert "attainable fit window is empty" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1  # missing instance path

@@ -140,6 +140,20 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_failure_keeps_the_old_text_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(path, "new")
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 def _construction_paths(tmp_path):
     """(name, instance) for every way the package builds an instance."""
     entries = [[0.5, -1.0, 0.25], [1.0, 0.0, -0.5], [-0.125, 0.75, 1.0], [0.0, 1.0, 0.5]]

@@ -11,10 +11,17 @@ from boostcd.linesearch import (
     NotDescentDirectionError,
     RayUnboundedError,
     StepResult,
-    closed_form_step,
     exact_search,
     wolfe_search,
 )
+
+
+def _wolfe(phi, dphi):
+    return wolfe_search(phi, dphi, phi0=phi(0.0), dphi0=dphi(0.0))
+
+
+def _exact(dphi):
+    return exact_search(dphi, dphi0=dphi(0.0))
 
 
 def _conditions(phi, dphi, alpha):
@@ -28,7 +35,7 @@ def test_wolfe_on_shifted_quadratic():
     # [1/2, 4/3]; the bracket 1 -> 2 then midpoint 1 lands dead center.
     phi = lambda a: (a - 1.0) ** 2
     dphi = lambda a: 2.0 * (a - 1.0)
-    res = wolfe_search(phi, dphi)
+    res = _wolfe(phi, dphi)
     assert res.alpha == 1.0
     assert 0.5 <= res.alpha <= 4.0 / 3.0
     assert all(_conditions(phi, dphi, res.alpha))
@@ -39,7 +46,7 @@ def test_wolfe_on_decaying_exponential():
     # e^-a = 1 - a/3; bracketing doubles 1 -> 2 -> 4, bisection accepts 2.
     phi = lambda a: math.exp(-a)
     dphi = lambda a: -math.exp(-a)
-    res = wolfe_search(phi, dphi)
+    res = _wolfe(phi, dphi)
     upper = brentq(lambda a: math.exp(-a) - (1.0 - a / 3.0), 2.0, 3.0, xtol=1e-13)
     assert upper == pytest.approx(2.8214393721220787, rel=1e-12)
     assert res.alpha == 2.0
@@ -47,28 +54,19 @@ def test_wolfe_on_decaying_exponential():
     assert all(_conditions(phi, dphi, res.alpha))
 
 
-def test_wolfe_accepts_precomputed_endpoint_values():
-    phi = lambda a: (a - 1.0) ** 2
-    dphi = lambda a: 2.0 * (a - 1.0)
-    res = wolfe_search(phi, dphi, phi0=1.0, dphi0=-2.0)
-    assert res.alpha == 1.0
-    # fewer evaluations than the self-computing call
-    assert res.evals < wolfe_search(phi, dphi).evals
-
-
 def test_wolfe_rejects_non_descent():
     with pytest.raises(NotDescentDirectionError):
-        wolfe_search(lambda a: a, lambda a: 1.0)
+        _wolfe(lambda a: a, lambda a: 1.0)
     # -0.0 is not a descent slope either
     with pytest.raises(NotDescentDirectionError):
-        wolfe_search(lambda a: 0.0, lambda a: -0.0)
+        _wolfe(lambda a: 0.0, lambda a: -0.0)
 
 
 def test_wolfe_bracketing_budget(monkeypatch):
     # linear descent: the decrease condition holds at every doubling
     monkeypatch.setattr(linesearch, "MAX_DOUBLINGS", 5)
     with pytest.raises(LineSearchBudgetError) as err:
-        wolfe_search(lambda a: -a, lambda a: -1.0)
+        _wolfe(lambda a: -a, lambda a: -1.0)
     lo, hi = err.value.interval
     assert lo == 0.0 and hi == 2.0 ** 5
 
@@ -80,44 +78,24 @@ def test_wolfe_bisection_budget_carries_interval(monkeypatch):
     dphi = lambda a: 20.0 * (a - 0.1)
     monkeypatch.setattr(linesearch, "MAX_REFINEMENTS", 1)
     with pytest.raises(LineSearchBudgetError) as err:
-        wolfe_search(phi, dphi)
+        _wolfe(phi, dphi)
     lo, hi = err.value.interval
     assert lo == 0.0 and hi == 0.5
-
-
-def test_closed_form_step_value():
-    # grad 1/2, objective 2 ln 2, logistic eta for m=3 is 8/(3 ln 2):
-    # the ln 2 factors cancel, leaving 3/32
-    eta = 8.0 / (3.0 * math.log(2.0))
-    alpha = closed_form_step(0.5, 2.0 * math.log(2.0), eta)
-    assert alpha == pytest.approx(3.0 / 32.0, rel=1e-14)
-    assert closed_form_step(0.0, 1.0, 1.0) == 0.0
-
-
-def test_closed_form_step_validation():
-    with pytest.raises(ValueError):
-        closed_form_step(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        closed_form_step(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        closed_form_step(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        closed_form_step(1.0, 1.0, 0.0)
 
 
 def test_exact_search_finds_stationary_point():
     # phi(a) = (a - ln 2)^2 / 2
     dphi = lambda a: a - math.log(2.0)
-    res = exact_search(dphi)
+    res = _exact(dphi)
     assert abs(res.alpha - math.log(2.0)) <= 1e-12
     assert abs(dphi(res.alpha)) <= 1e-12
 
 
 def test_exact_search_rejects_non_descent():
     with pytest.raises(NotDescentDirectionError):
-        exact_search(lambda a: 0.5)
+        _exact(lambda a: 0.5)
     with pytest.raises(NotDescentDirectionError):
-        exact_search(lambda a: -0.0)
+        _exact(lambda a: -0.0)
 
 
 def test_exact_search_unbounded_ray():
@@ -126,7 +104,7 @@ def test_exact_search_unbounded_ray():
     # count as "not decisively positive" rather than as a stationary
     # point (IEEE: -0.0 >= 0.0 is true).
     with pytest.raises(RayUnboundedError):
-        exact_search(lambda a: -math.exp(-a))
+        _exact(lambda a: -math.exp(-a))
 
 
 def test_exact_search_budget(monkeypatch):
@@ -135,7 +113,7 @@ def test_exact_search_budget(monkeypatch):
     monkeypatch.setattr(linesearch, "MAX_REFINEMENTS", 3)
     monkeypatch.setattr(linesearch, "EXACT_TOL", 1e-18)
     with pytest.raises(LineSearchBudgetError):
-        exact_search(lambda a: math.expm1(a) - 1.0)
+        _exact(lambda a: math.expm1(a) - 1.0)
 
 
 def test_exact_search_returns_an_end_of_a_collapsed_bracket():
@@ -143,7 +121,7 @@ def test_exact_search_returns_an_end_of_a_collapsed_bracket():
     # doubles near sqrt(2), more than tol, so no double meets |phi'| <=
     # tol; the bracket shrinks to two adjacent doubles around the root
     dphi = lambda a: 1e4 * (a * a - 2.0)
-    res = exact_search(dphi)
+    res = _exact(dphi)
     assert abs(res.alpha - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
     ends = (math.nextafter(res.alpha, 0.0), math.nextafter(res.alpha, 2.0))
     assert abs(dphi(res.alpha)) <= min(abs(dphi(a)) for a in ends)
@@ -169,19 +147,20 @@ def test_exact_search_falls_back_to_the_midpoint_on_infinite_derivatives():
         calls.append(a)
         return math.inf if a >= 3.0 else math.expm1(a) - 11.0
 
-    res = exact_search(dphi)
+    res = _exact(dphi)
     assert calls[:6] == [0.0, 1.0, 2.0, 4.0, 3.0, 2.5]
+    # every call but phi'(0), which the caller made; bisecting [2, 4] down
+    # to tol would take about 40 more
+    assert res.evals == len(calls) - 1 <= 15
     assert abs(dphi(res.alpha)) <= 1e-12
     assert abs(res.alpha - math.log(12.0)) <= 1e-12
-    # bisecting [2, 4] down to tol would take about 40 more
-    assert res.evals == len(calls) - 1 <= 15
 
 
 def test_exact_search_beats_bisection_on_a_curved_derivative():
     # phi(a) = e^a - 2a: bisection from [0, 1] would need about 40
     # evaluations for tol 1e-12; Illinois converges superlinearly
     dphi = lambda a: math.expm1(a) - 1.0
-    res = exact_search(dphi)
+    res = _exact(dphi)
     assert abs(dphi(res.alpha)) <= 1e-12
     assert res.evals <= 10
 
@@ -206,7 +185,7 @@ def test_wolfe_judges_steps_inside_the_roundoff_band_by_the_derivative():
     # handed in exactly, phi(0) rounds equal to phi(4 a*), so the
     # decrease test passes there by rounding although the step overshoots
     # the minimizer fourfold; the derivative there, 3 |phi'(0)|, rejects it
-    res = wolfe_search(phi, dphi)
+    res = _wolfe(phi, dphi)
     assert res.alpha == a_star
 
 
@@ -216,12 +195,12 @@ def test_wolfe_raises_the_lower_end_past_too_steep_midpoints():
     # lower end; 1.75 and 1.625 overshoot, and 1.5625 passes both tests
     shape = lambda a: -a + 100.0 * max(0.0, a - 1.5) ** 2
     slope = lambda a: -1.0 + 200.0 * max(0.0, a - 1.5)
-    res = wolfe_search(shape, slope)
+    res = _wolfe(shape, slope)
     assert res.alpha == 1.5625
     assert all(_conditions(shape, slope, res.alpha))
     # scaled by 1e-12 onto 1000, every midpoint changes phi by less than
     # the roundoff band (1.4e-11), so phi' alone decides, moving the lower
     # end at 1 and 1.5 as before, until the approximate conditions hold
-    res = wolfe_search(lambda a: 1000.0 + 1e-12 * shape(a), lambda a: 1e-12 * slope(a))
+    res = _wolfe(lambda a: 1000.0 + 1e-12 * shape(a), lambda a: 1e-12 * slope(a))
     assert res.alpha == 1.50390625
     assert -0.5 <= slope(res.alpha) <= 1.0 / 3.0

@@ -257,6 +257,24 @@ def test_dual_certificate_unavailable_for_mixed_sign_kernel():
     assert dual_certificate(inst, loss, _state(inst, loss, lam)) is None
 
 
+def test_dual_certificate_rejects_a_clipped_psi_off_the_kernel(monkeypatch):
+    # a nonnegative projection with |A^T psi| above FEAS_TOL is refused
+    # after the clip, whatever produced it
+    inst = fixtures.mixed_3x2()
+    loss = make_loss(LOGISTIC, inst.m)
+    psi = np.array([1.0, 0.0, 0.0])
+    assert np.max(np.abs(inst.a.T @ psi)) > structure.FEAS_TOL
+    monkeypatch.setattr(structure, "_kernel_projection", lambda a, w: psi)
+    assert dual_certificate(inst, loss, _state(inst, loss, [0.0, 0.0])) is None
+
+
+def test_generators_reject_unknown_modes():
+    with pytest.raises(ValueError, match="unknown entries mode"):
+        fixtures.random_instance(np.random.default_rng(0), 3, 2, entries="bogus")
+    with pytest.raises(ValueError, match="unknown regime"):
+        fixtures.random_by_regime("bogus", 0)
+
+
 def _projection_cases():
     rng = np.random.default_rng(23)
     yield fixtures.random_instance(rng, 60, 12)              # full rank, m > n
