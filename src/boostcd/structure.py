@@ -19,18 +19,22 @@ the cone has a vector positive on its whole support), solved by the
 interior-point method of :mod:`boostcd.lp`, whose limit is strictly
 complementary, so the core is read off its solution with no crossover.
 That solution is the dual witness and its row multipliers give the
-primal one.  Each row block is factored once (:func:`_dual_core`): the
-pivoted QR of the nonzero rows gives the LP its rows and the primal
-witness, and on a mixed instance one of the core rows projects both
-witnesses onto the core's kernels.  For a weakly learnable instance
-only, :func:`analyze` solves one more LP, for the rate gamma, with one
-row per weak learner (:func:`_gamma_lp`), whose solution and
-multipliers bracket gamma from both sides.  Strict inequalities are
-compiled to margin-1 form, which the cone's scale invariance makes
-equivalent.  The LP solver is not trusted on its own: :func:`analyze`,
-:func:`decompose` and :func:`hard_core` all check their witnesses
-against A by :func:`verify_witness`, gamma's bracket is checked against
-A too, and a failed check raises.  This is the module's one path to
+primal one.  Each row block is factored once (:func:`_dual_core`), into
+one m x n Householder factor of a column-pivoted QR (LAPACK's dgeqp3):
+that of the nonzero rows gives the LP its rows and the primal witness,
+and on a mixed instance one of the core rows projects both witnesses
+onto the core's kernels.  :func:`dual_certificate` projects through the
+same one factor of A.  Q is applied by its reflectors everywhere, and
+formed only for the core LP, whose rows are its first rank columns.
+For a weakly learnable instance only, :func:`analyze` solves one more
+LP, for the rate gamma, with one row per weak learner
+(:func:`_gamma_lp`), whose solution and multipliers bracket gamma from
+both sides.  Strict inequalities are compiled to margin-1 form, which
+the cone's scale invariance makes equivalent.  The LP solver is not
+trusted on its own: :func:`analyze`, :func:`decompose` and
+:func:`hard_core` all check their witnesses against A by
+:func:`verify_witness`, gamma's bracket is checked against A too, and a
+failed check raises.  This is the module's one path to
 each structural fact; the independent references the tests compare it
 with (the direct tests of Gordan's and Stiemke's alternatives on HiGHS,
 an SVD kernel basis) live in ``tests/references.py``.
@@ -74,7 +78,8 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
 
         min -1^T t  s.t.  Q_r^T (t + s) = 0,  0 <= t <= 1,  s >= 0,
 
-    where Q_r is the thin pivoted-QR basis of range(A) (:func:`_pivoted_qr`).
+    where Q_r, a basis of range(A), is the first ``rank`` columns of the
+    Q that dorgqr forms from :func:`_pivoted_qr`'s reflectors.
     Since ker(Q_r^T) = ker(A^T), this is the LP over A^T (t + s) = 0, but
     its rows are independent however A's columns repeat, as the
     interior-point method needs.  Every feasible t + s is in the dual
@@ -96,11 +101,11 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     (P^T lam)[:rank] = R11^-1 y; R is upper triangular, so A lam = Q_r y.
     A mixed instance factors its core rows once, A_core P_c = Q_c R_c,
     for both witnesses.  psi, t + s on the core, is projected onto
-    ker(A_core^T) orthogonally by Q_c.  lam, whose core residual is
-    roundoff, is projected onto ker(A_core) obliquely by R_c: with
-    u = P_c^T lam, u[:r] -= R_c11^-1 (R_c[:r] u) makes R_c[:r] u = 0, and
-    R_c's rows below the rank r are below the rank tolerance, so
-    A_core lam = Q_c R_c u is 0 to that tolerance.
+    ker(A_core^T) orthogonally by Q_c's reflectors (:func:`_project_out`).
+    lam, whose core residual is roundoff, is projected onto ker(A_core)
+    obliquely by R_c: with u = P_c^T lam, u[:r] -= R_c11^-1 (R_c[:r] u)
+    makes R_c[:r] u = 0, and R_c's rows below the rank r are below the
+    rank tolerance, so A_core lam = Q_c R_c u is 0 to that tolerance.
 
     A zero row of A is in the core (psi = e_i) and would give s_i an
     unbounded ray, so zero rows are set aside before the solve.
@@ -114,8 +119,12 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     if nz.size:
         b = a[nz]
         k = nz.size
-        q, r, piv, rank = _pivoted_qr(b)
-        q_r = q[:, :rank]
+        f, tau, piv, rank = _pivoted_qr(b)
+        # formed min(k, n) columns wide, as scipy.linalg.qr forms Q: on a
+        # rank-deficient block, dorgqr's updates of a narrower block sum in
+        # another order and would move Q_r, and with it the analysis, in
+        # its last bits
+        q_r = _lapack("dorgqr", f[:, :tau.size], tau)[0][:, :rank]
         x, y = solve(np.hstack([q_r.T, q_r.T]), np.zeros(rank),
                      np.concatenate([-np.ones(k), np.zeros(k)]),
                      np.concatenate([np.ones(k), np.full(k, np.inf)]))
@@ -123,14 +132,14 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         core[nz[in_core]] = True
         if np.all(in_core):
             # the core block is b, whose factor is in hand
-            psi[nz] = _project_out(q, rank, x[:k] + x[k:])
+            psi[nz] = _project_out(f, tau, rank, x[:k] + x[k:])
         else:
-            lam[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], y)
+            lam[piv[:rank]] = scipy.linalg.solve_triangular(np.triu(f[:rank, :rank]), y)
             if np.any(in_core):
-                qc, rc, pc, rc_rank = _pivoted_qr(b[in_core])
-                psi[nz[in_core]] = _project_out(qc, rc_rank, (x[:k] + x[k:])[in_core])
-                lam[pc[:rc_rank]] -= scipy.linalg.solve_triangular(
-                    rc[:rc_rank, :rc_rank], rc[:rc_rank] @ lam[pc])
+                fc, tc, pc, rc_rank = _pivoted_qr(b[in_core])
+                psi[nz[in_core]] = _project_out(fc, tc, rc_rank, (x[:k] + x[k:])[in_core])
+                rc = np.triu(fc[:rc_rank])
+                lam[pc[:rc_rank]] -= scipy.linalg.solve_triangular(rc[:, :rc_rank], rc @ lam[pc])
     return [int(i) for i in np.flatnonzero(core)], psi, lam
 
 
@@ -247,47 +256,83 @@ def _gamma_lp(inst: BoostInstance) -> float:
     return edge
 
 
-def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Thin factors Q (m x min(m, n)) and R of a column-pivoted QR
-    A P = Q R (Businger-Golub), the column pivots, and A's numerical rank.
+def _lapack(name: str, *args, **kwargs) -> list:
+    """Call LAPACK's ``name`` through :mod:`scipy.linalg.lapack` and
+    return its outputs before ``(work, info)``.  Without an ``lwork`` the
+    optimal workspace is queried first (``lwork=-1``), as
+    :mod:`scipy.linalg` does.  A nonzero info raises LinAlgError naming
+    the routine, so a failed call returns no factor or projection."""
+    routine = getattr(scipy.linalg.lapack, name)
+    if "lwork" not in kwargs:
+        kwargs["lwork"] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {name} returned info={info}")
+    return out
 
-    The rank counts the |diag R| above KERNEL_RANK_TOL times the largest
-    column norm, so the first ``rank`` columns of Q span range(A).
+
+def _pivoted_qr(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Column-pivoted QR A P = Q R (Businger-Golub) by LAPACK's dgeqp3, in
+    its compact Householder form: the m x n array holding R on and above
+    its diagonal and the reflectors below it, the reflectors' scalars tau,
+    the column pivots (0-based), and A's numerical rank.
+
+    Q = H_1 ... H_min(m, n) is never formed here.  :func:`_project_out`
+    applies it by reflectors; only the core LP of :func:`_dual_core`,
+    which needs Q_r as a matrix, forms it, by dorgqr.  The rank counts the |diag R| above KERNEL_RANK_TOL times the
+    largest column norm, so the first ``rank`` columns of Q span range(A).
     """
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    # the norms' m x n temporary is freed before the factor is allocated
     tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
-    return q, r, piv, int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    qr, piv, tau = _lapack("dgeqp3", a)
+    piv -= 1
+    return qr, tau, piv, int(np.count_nonzero(np.abs(np.diag(qr)) > tol))
 
 
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
 
-    Q_r (m x rank) is the thin pivoted-QR factor spanning range(A), with
-    the rank decided by :func:`_pivoted_qr`: O(m n^2) time and O(m n)
-    memory; no m x m Q is formed.  One re-projection keeps A^T of the
-    result at roundoff.  An empty kernel (rank == m) gives exact zeros.
+    Q_r (m x rank) spans range(A), with the rank decided by
+    :func:`_pivoted_qr`, whose one m x n Householder factor is all this
+    holds: O(m n^2) time and O(m n) memory.  Q is applied by reflectors
+    (:func:`_project_out`) and never formed.
     """
-    q, _, _, rank = _pivoted_qr(a)
-    return _project_out(q, rank, w)
+    qr, tau, _, rank = _pivoted_qr(a)
+    return _project_out(qr, tau, rank, w)
 
 
-def _project_out(q: np.ndarray, rank: int, w: np.ndarray) -> np.ndarray:
-    """:func:`_kernel_projection` from A's factor ``q`` and rank as
-    :func:`_pivoted_qr` returns them."""
-    m = q.shape[0]
+def _project_out(qr: np.ndarray, tau: np.ndarray, rank: int, w: np.ndarray) -> np.ndarray:
+    """:func:`_kernel_projection` from A's factor as :func:`_pivoted_qr`
+    returns it.
+
+    With Q = H_1 ... H_rank, whose first ``rank`` columns are Q_r,
+    w - Q_r Q_r^T w = Q (0_r, I) Q^T w: two dormqr calls, O(m rank).  One
+    re-projection keeps A^T of the result at roundoff.  An empty kernel
+    (rank == m) gives exact zeros, and rank 0 (A = 0) gives w.
+    """
+    m = qr.shape[0]
     if rank == m:
         return np.zeros(m)
-    q_r = q[:, :rank]
-    proj = w - q_r @ (q_r.T @ w)
-    proj -= q_r @ (q_r.T @ proj)
-    return proj
+    if rank == 0:
+        return np.array(w, dtype=float)
+    h, t = qr[:, :rank], tau[:rank]
+    proj = np.asarray(w, dtype=float)[:, None]
+    for _ in range(2):
+        # lwork 1 (the one column) takes dormqr's unblocked path, one
+        # reflector at a time; on a single vector the blocked path's
+        # triangular factors cost more than they save
+        c, = _lapack("dormqr", "L", "T", h, t, proj, lwork=1)
+        c[:rank] = 0.0
+        proj, = _lapack("dormqr", "L", "N", h, t, c, lwork=1, overwrite_c=1)
+    return proj[:, 0]
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """A feasible dual vector with the optimality-gap bound it certifies:
     inf f <= objective, and inf f >= dual_value, so
-    objective - inf f <= gap_bound."""
+    objective - inf f <= gap_bound.  dual_value never exceeds the
+    objective, so gap_bound is never negative."""
 
     psi: np.ndarray
     dual_value: float
@@ -300,23 +345,35 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     projection is (numerically) in the dual cone and the conjugate's
     domain, certify the duality gap f(A lam) - inf f <= f(A lam) + f*(psi).
 
-    The projection goes through the thin factor of a column-pivoted QR
-    of A (no m x m Q is formed): O(m n^2) time and O(m n) memory.
-    Projections with a coordinate below -1e-10 are rejected; tiny
-    negatives are clipped to zero and the kernel residual re-checked.
-    Returns None when no certificate can be extracted at this iterate.
+    The projection holds one m x n Householder factor of a column-pivoted
+    QR of A and applies Q by reflectors (:func:`_kernel_projection`); no
+    Q is formed: O(m n^2) time and O(m n) memory.  Projections with a
+    coordinate below -1e-10 are rejected; tiny negatives are clipped to
+    zero and the kernel residual re-checked.  Returns None when no
+    certificate can be extracted at this iterate.  Raises ValueError,
+    before anything is factored, when the loss was built for another m
+    or the dual weights are not of shape (m,).
     """
-    proj = _kernel_projection(inst.a, state.dual_weights)
+    rf = RiskFunction(loss, inst.m)
+    w = state.dual_weights
+    if np.shape(w) != (inst.m,):
+        raise ValueError(f"state.dual_weights must have shape ({inst.m},), "
+                         f"got {np.shape(w)}")
+    proj = _kernel_projection(inst.a, w)
     if proj.size and float(np.min(proj)) < -1e-10:
         return None
     psi = np.maximum(proj, 0.0)
     if float(np.max(np.abs(inst.a.T @ psi))) > FEAS_TOL:
         return None
-    rf = RiskFunction(loss, inst.m)
     fstar = rf.conj(psi)
     if not math.isfinite(fstar):
         return None
-    return DualCertificate(psi, -fstar, float(state.objective) + fstar)
+    # inf f <= objective always; at an iterate optimal to its last bits
+    # roundoff can put -f*(psi) an ulp or two above it, and lowering it to
+    # the objective only shrinks the bound's error
+    objective = float(state.objective)
+    dual_value = min(-fstar, objective)
+    return DualCertificate(psi, dual_value, objective - dual_value)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Gordan's and Stiemke's alternatives and the hard core by its definition
 on HiGHS (`scipy.optimize.linprog`), and the kernel basis of A^T by an
 SVD (`scipy.linalg.null_space`) rather than the library's pivoted QR.
 The tests compare the library against these; the library never imports
-this module.
+this module.  :func:`planted` draws instances of a stated regime at
+sizes where rejection sampling finds none.
 """
 
 from typing import Optional, Tuple
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from boostcd.instance import BoostInstance
+from boostcd.instance import BoostInstance, make_instance
 from boostcd.structure import FEAS_TOL
 
 
@@ -102,3 +103,26 @@ def kernel_basis(inst: BoostInstance) -> np.ndarray:
     from an SVD of A^T: independent of the pivoted QR that
     `boostcd.structure` projects through."""
     return scipy.linalg.null_space(inst.a.T)
+
+
+def planted(regime, m, n, seed) -> BoostInstance:
+    """An m x n instance of the given regime drawn from ``seed``.
+
+    The core rows are orthogonal to a positive psi, so psi > 0 is in
+    ker(A_core^T) and every core row is in the hard core.  Off-core rows
+    have a_i . u <= -|u| / 4 for a u orthogonal to every core row, which
+    keeps them off it (Motzkin).  Attainable: every row is a core row, and
+    the risk attains its minimum; weakly learnable: none is; mixed: the
+    first m // 2 rows are.
+    """
+    rng = np.random.default_rng(seed)
+    k = {"attainable": m, "mixed": m // 2, "weak_learnable": 0}[regime]
+    psi = rng.uniform(0.1, 1.0, size=k)
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    if k < m:
+        u = rng.standard_normal(n)
+        a[:k] -= np.outer(a[:k] @ u, u) / (u @ u)
+        a[k:] *= -np.sign(a[k:] @ u)[:, None]
+        a[k:] -= 0.25 * u / np.linalg.norm(u)
+    a[:k] -= np.outer(psi, psi @ a[:k]) / (psi @ psi)
+    return make_instance(a / np.max(np.abs(a)))

@@ -22,6 +22,7 @@ from boostcd.boost import (
 )
 from boostcd.instance import make_instance
 from boostcd.losses import LOGISTIC, RiskFunction, make_loss
+from references import planted
 
 
 def _step_along(grad, selector=None):
@@ -328,32 +329,13 @@ def test_run_rejects_an_inadmissible_selector_pick():
         run(inst, make_loss(LOGISTIC, inst.m), cfg)
 
 
-def _planted(regime, m, n, seed):
-    # The core rows are orthogonal to a positive psi, so psi > 0 is in
-    # ker(A_core^T) and every core row is in the hard core.  Off-core rows
-    # have a_i . u <= -|u| / 4 for a u orthogonal to every core row, which
-    # keeps them off it (Motzkin).  Attainable: every row is a core row, and
-    # the risk attains its minimum; weakly learnable: none is.
-    rng = np.random.default_rng(seed)
-    k = {"attainable": m, "mixed": m // 2, "weak_learnable": 0}[regime]
-    psi = rng.uniform(0.1, 1.0, size=k)
-    a = rng.uniform(-1.0, 1.0, size=(m, n))
-    if k < m:
-        u = rng.standard_normal(n)
-        a[:k] -= np.outer(a[:k] @ u, u) / (u @ u)
-        a[k:] *= -np.sign(a[k:] @ u)[:, None]
-        a[k:] -= 0.25 * u / np.linalg.norm(u)
-    a[:k] -= np.outer(psi, psi @ a[:k]) / (psi @ psi)
-    return make_instance(a / np.max(np.abs(a)))
-
-
 @pytest.mark.parametrize("kind", ["logistic", "exp"])
 def test_wolfe_runs_past_the_roundoff_floor_to_the_gradient_tolerance(kind):
     # Near the optimum the decrease the Wolfe test asks for drops below
     # the roundoff of the objective (about 1e-14 here, at gradients near
     # 3e-7); the search must still find steps down to grad_tol 1e-10
     # instead of exhausting its bisection budget.
-    inst = _planted("attainable", 50, 20, 0)
+    inst = planted("attainable", 50, 20, 0)
     loss = make_loss(kind, inst.m)
     trace = run(inst, loss, RunConfig())
     assert trace.status == boost.GRADIENT_BELOW_TOL
@@ -419,7 +401,7 @@ def test_every_record_replays_to_its_objective_from_a_at_lam(regime, m, n, kind,
     # The objective each record carries comes from margins the loop updated
     # along one column; rebuilt from the trace alone it is sum g(A @ lam) to
     # within roundoff, however BLAS orders its sums.
-    inst = _planted(regime, m, n, 0)
+    inst = planted(regime, m, n, 0)
     assert structure.regime_of(len(structure.hard_core(inst)), m) == regime
     loss = make_loss(kind, m)
     rf = RiskFunction(loss, m)
@@ -440,7 +422,7 @@ def test_every_step_state_matches_the_checked_loss_entry(regime, m, n, kind, lin
     # The loop runs the unchecked kernels on margins it built itself; every
     # state boost_step returns, the running-margin ones included, carries
     # the numbers RiskFunction's checked entry computes from its margins.
-    inst = _planted(regime, m, n, 1)
+    inst = planted(regime, m, n, 1)
     rf = RiskFunction(make_loss(kind, m), m)
     cfg = RunConfig(line_search=line_search, grad_tol=0.0)
     state = initial_state(inst, rf)

@@ -2,6 +2,7 @@
 classical rate, kernel projections, and dual certificates, checked
 against the independent references in ``references``."""
 
+import dataclasses
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from references import (
     _unit_columns,
     attainable,
     kernel_basis,
+    planted,
     weak_learnable,
 )
 
@@ -257,6 +259,20 @@ def test_dual_certificate_unavailable_for_mixed_sign_kernel():
     assert dual_certificate(inst, loss, _state(inst, loss, lam)) is None
 
 
+def test_dual_certificate_never_bounds_above_the_objective():
+    # at iterates optimal to their last bits, -f*(psi) can round an ulp
+    # or two above f(A lam); 3 of these 40 certificates do
+    for seed in range(10):
+        for m, n in ((8, 3), (12, 5)):
+            inst = planted(ATTAINABLE, m, n, seed)
+            for kind in KINDS:
+                loss = make_loss(kind, m)
+                state = boost.run(inst, loss, boost.RunConfig(max_iters=100)).final_state
+                cert = dual_certificate(inst, loss, state)
+                assert cert.dual_value <= state.objective
+                assert cert.gap_bound == state.objective - cert.dual_value >= 0.0
+
+
 def test_dual_certificate_rejects_a_clipped_psi_off_the_kernel(monkeypatch):
     # a nonnegative projection with |A^T psi| above FEAS_TOL is refused
     # after the clip, whatever produced it
@@ -339,6 +355,76 @@ def test_dual_certificate_never_forms_an_m_by_m_array():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 * 8 / 4
+    # the one m x n Householder factor, and no thin Q beside it
+    assert peak < 1.5 * inst.m * inst.n * 8
+
+
+def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
+    # a wrong-length vector would reach dormqr, which does not check it
+    # against the factor's rows
+    inst = fixtures.random_instance(np.random.default_rng(3), 8, 3)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = _state(inst, loss, np.zeros(inst.n))
+    factors = []
+    monkeypatch.setattr(structure, "_pivoted_qr", _counting(factors, structure._pivoted_qr))
+    for w in (np.ones(5), np.ones(12), np.ones((8, 1))):
+        with pytest.raises(ValueError, match=r"dual_weights must have shape \(8,\)"):
+            dual_certificate(inst, loss, dataclasses.replace(state, dual_weights=w))
+    with pytest.raises(ValueError, match="built for m=9"):
+        dual_certificate(inst, make_loss(LOGISTIC, 9), state)
+    assert factors == []
+
+
+@pytest.mark.parametrize("name", ["dgeqp3", "dorgqr", "dormqr"])
+def test_a_nonzero_lapack_info_raises(name, monkeypatch):
+    # an attainable analysis runs all three routines, a certificate two
+    real = getattr(scipy.linalg.lapack, name)
+
+    def failing(*args, **kwargs):
+        ret = real(*args, **kwargs)
+        return ret if kwargs.get("lwork") == -1 else (*ret[:-1], -4)
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+    inst = fixtures.attainable_tilted()
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {name} returned info=-4"):
+        analyze(inst)
+    if name != "dorgqr":
+        loss = make_loss(LOGISTIC, inst.m)
+        with pytest.raises(np.linalg.LinAlgError, match=name):
+            dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
+
+
+def test_pivoted_qr_matches_scipy(monkeypatch):
+    # scipy.linalg.qr is the reference: with dgeqp3's workspace queried
+    # as scipy queries it, the pivots, the rank, R and the Q_r the core
+    # LP gets are its own to the bit, so the rank decisions the hard core
+    # and every certificate rest on are scipy's
+    class Captured(Exception):
+        pass
+
+    def capture(g, h, c, upper):
+        rows.append(g)
+        raise Captured
+
+    monkeypatch.setattr(structure, "solve", capture)
+    cases = [*_projection_cases(),
+             *(planted(r, m, n, s) for r in REGIMES
+               for m, n in ((20, 8), (50, 20), (200, 60)) for s in range(2))]
+    deficient = 0
+    for inst in cases:
+        a, rows = inst.a, []
+        f, tau, piv, rank = structure._pivoted_qr(a)
+        q, r, p = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
+        assert np.array_equal(piv, p)
+        assert rank == np.count_nonzero(np.abs(np.diag(r)) > tol)
+        assert np.array_equal(np.triu(f[:r.shape[0]]), r)
+        assert np.all(np.any(a != 0.0, axis=1))  # the LP's block is all of A
+        with pytest.raises(Captured):
+            analyze(inst)
+        assert np.array_equal(rows[0][:, :inst.m], q[:, :rank].T)
+        deficient += rank < min(a.shape)
+    assert deficient >= 2
 
 
 def test_report_json_shape():
@@ -369,7 +455,7 @@ def test_analyze_solves_at_most_two_lps(name, monkeypatch):
     # instance the core rows; no least-squares solve refactors them
     calls, factors, lstsq = [], [], []
     monkeypatch.setattr(structure, "solve", _counting(calls, structure.solve))
-    monkeypatch.setattr(scipy.linalg, "qr", _counting(factors, scipy.linalg.qr))
+    monkeypatch.setattr(structure, "_pivoted_qr", _counting(factors, structure._pivoted_qr))
     monkeypatch.setattr(np.linalg, "lstsq", _counting(lstsq, np.linalg.lstsq))
     inst = fixtures.FIXTURES[name]()
     rep = analyze(inst)
