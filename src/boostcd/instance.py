@@ -12,10 +12,18 @@ column a_j at each line-search evaluation and forms A^T w, one dot
 product per column, at each step; both read contiguous memory in that
 order.  A @ lam, which only the loop's periodic rebuilds compute, and
 the structure analysis's row gathers read across the columns instead.
+
+A file is read in chunks of CHUNK_CHARS characters and its ``entries``
+decoded one row at a time, each row checked (numbers only, never
+booleans, all rows as long as the first) and kept as a small float64
+array until the one column-major matrix is filled from them.  The whole
+text and the whole matrix as Python floats are never held, so a read's
+peak is about twice the float64 matrix plus one chunk and one row.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -42,10 +50,12 @@ def _validated_matrix(entries) -> np.ndarray:
         raise ValueError(f"instance matrix must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"instance matrix must be at least 1x1, got shape {a.shape}")
-    bad = ~(np.isfinite(a) & (np.abs(a) <= 1.0))
-    if np.any(bad):
+    # NaN propagates through min and max, so this one check, which
+    # allocates nothing, also sees it
+    if not (a.min() >= -1.0 and a.max() <= 1.0):
+        bad = ~(np.isfinite(a) & (np.abs(a) <= 1.0))
         offenders = [(int(i), int(j)) for i, j in zip(*np.nonzero(bad))]
-        shown = ", ".join(f"({i},{j})={a[i, j]!r}" for i, j in offenders[:8])
+        shown = ", ".join(f"({i},{j})={float(a[i, j])!r}" for i, j in offenders[:8])
         more = "" if len(offenders) <= 8 else f" and {len(offenders) - 8} more"
         raise InstanceValidationError(
             f"entries must be finite and in [-1, 1]; offending (row, col), "
@@ -97,24 +107,136 @@ def to_json(inst: BoostInstance) -> str:
     )
 
 
-def _load(parse, source) -> BoostInstance:
-    """The instance in ``parse(source)``: ``json.loads`` of a text or
-    ``json.load`` of an open file, which drops the file's text before the
-    matrix is built from the parsed lists."""
-    try:
-        obj = parse(source)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed instance JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not {"m", "n", "entries"} <= set(obj):
+# Characters read from the file at a time.
+CHUNK_CHARS = 1 << 16
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE
+_NUMBER_TYPES = {float, int}
+
+
+def _malformed(message: str) -> ValueError:
+    return ValueError(f"malformed instance JSON: {message}")
+
+
+class _Stream:
+    """A JSON text read chunk by chunk; ``buf[pos:]`` is not yet consumed
+    and ``buf`` starts at character ``start`` of the text."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = ""
+        self.pos = 0
+        self.start = 0
+
+    def more(self) -> bool:
+        """Drop the consumed text and append at least a chunk, and at least
+        as much as is pending, so a value spanning many chunks is decoded
+        a logarithmic number of times; False at the end of the text."""
+        chunk = self.fh.read(max(CHUNK_CHARS, len(self.buf) - self.pos))
+        if not chunk:
+            return False
+        self.start += self.pos
+        self.buf = self.buf[self.pos:] + chunk
+        self.pos = 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after whitespace, not consumed; '' at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self.more():
+                return ""
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise _malformed(f"expected {char!r} at char {self.start + self.pos}")
+        self.pos += 1
+
+    def value(self):
+        """The next JSON value, decoded again with the next chunk appended
+        while it may have been cut at a chunk boundary: a decode error is
+        final only when the text is exhausted, and a cut number decodes as
+        a shorter one ("1.5e-" as 1.5) that ends at most two characters
+        before the buffer's end."""
+        self.peek()
+        while True:
+            try:
+                obj, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more():
+                    continue
+                raise _malformed(f"{exc.msg} at char {self.start + exc.pos}") from None
+            if end < len(self.buf) - 2 or not self.more():
+                self.pos = end
+                return obj
+
+
+def _rows(stream: _Stream) -> list:
+    """The rows of ``entries``, each a float64 array, decoded one at a time."""
+    stream.expect("[")
+    rows = []
+    if stream.peek() == "]":
+        stream.pos += 1
+        return rows
+    while True:
+        i = len(rows)
+        # a row of numbers ends at the first "]": with that in the buffer,
+        # a row is decoded once, not once more for each chunk it spans
+        while stream.buf.find("]", stream.pos) < 0 and stream.more():
+            pass
+        row = stream.value()
+        if type(row) is not list:
+            raise _malformed(f"row {i} is not a list, got {type(row).__name__}")
+        n = len(rows[0]) if rows else len(row)
+        if len(row) != n or not row:
+            raise _malformed(f"row {i} has {len(row)} entries, expected {n or 'at least 1'}")
+        # bool is an int subclass, so the types are compared, not isinstance'd
+        if not set(map(type, row)) <= _NUMBER_TYPES:
+            bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
+            raise _malformed(f"row {i} has an entry that is not a number: {bad!r}")
+        try:
+            rows.append(np.array(row, dtype=np.float64))
+        except OverflowError:  # an integer beyond the float range
+            raise _malformed(f"row {i} has an integer too large for a float") from None
+        sep = stream.peek()
+        stream.pos += 1
+        if sep == "]":
+            return rows
+        if sep != ",":
+            raise _malformed(f"expected ',' or ']' after row {i}")
+
+
+def _load(fh) -> BoostInstance:
+    """The instance in the JSON text that ``fh.read`` returns: the
+    top-level object is walked key by key and ``entries`` decoded one row
+    at a time."""
+    stream = _Stream(fh)
+    obj = {}
+    stream.expect("{")
+    if stream.peek() == "}":
+        stream.pos += 1
+    else:
+        while True:
+            key = stream.value()
+            if type(key) is not str:
+                raise _malformed(f"object keys must be strings, got {key!r}")
+            stream.expect(":")
+            obj[key] = _rows(stream) if key == "entries" else stream.value()
+            if stream.peek() == "}":
+                stream.pos += 1
+                break
+            stream.expect(",")
+    if stream.peek():
+        raise _malformed(f"extra data at char {stream.start + stream.pos}")
+    if not {"m", "n", "entries"} <= set(obj):
         raise ValueError('instance JSON needs keys "m", "n", "entries"')
     for key in ("m", "n"):
         if type(obj[key]) is not int:  # bool is an int subclass; 1.0 is not an int
-            raise ValueError(f'malformed instance JSON: "{key}" must be an integer, '
-                             f"got {obj[key]!r}")
-    try:
-        inst = make_instance(obj["entries"])
-    except TypeError as exc:  # entries that are not numbers: strings, booleans, objects
-        raise ValueError(f"malformed instance JSON: {exc}") from exc
+            raise _malformed(f'"{key}" must be an integer, got {obj[key]!r}')
+    inst = make_instance(obj.pop("entries"))
     if inst.m != obj["m"] or inst.n != obj["n"]:
         raise ValueError(
             f"declared shape ({obj['m']}, {obj['n']}) does not match "
@@ -124,7 +246,7 @@ def _load(parse, source) -> BoostInstance:
 
 
 def from_json(text: str) -> BoostInstance:
-    return _load(json.loads, text)
+    return _load(io.StringIO(text))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -134,7 +256,7 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -146,8 +268,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def read_instance(path) -> BoostInstance:
-    with open(path, "r") as fh:
-        return _load(json.load, fh)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _load(fh)
 
 
 def write_instance(inst: BoostInstance, path) -> None:

@@ -1,8 +1,10 @@
 """Instance matrix: validation and serialization round-trips."""
 
+import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from boostcd import fixtures, structure
 from boostcd.instance import (
     BoostInstance,
     InstanceValidationError,
+    _load,
     atomic_write_text,
     from_json,
     make_instance,
@@ -29,6 +32,18 @@ def test_validation_rejects_out_of_range_with_offenders():
     with pytest.raises(InstanceValidationError) as err:
         make_instance([[math.nan]])
     assert err.value.offenders == [(0, 0)]
+
+
+@pytest.mark.parametrize("entries, shown", [
+    ([[math.nan, 0.5]], "(0,0)=nan"),
+    ([[0.5, -math.inf]], "(0,1)=-inf"),
+    ([[0.0, 1.5], [-2.0, 0.5]], "(0,1)=1.5, (1,0)=-2.0"),
+])
+def test_validation_message_prints_plain_floats(entries, shown):
+    with pytest.raises(InstanceValidationError) as err:
+        make_instance(entries)
+    assert str(err.value).endswith(f"0-based: {shown}")
+    assert "np." not in str(err.value)
 
 
 def test_validation_rejects_bad_shapes():
@@ -186,3 +201,100 @@ def test_every_construction_path_stores_one_read_only_column_major_matrix(tmp_pa
         for j in range(inst.n):
             col = a[:, j]
             assert col.flags.c_contiguous and np.shares_memory(col, a), (name, j)
+
+
+def test_json_names_a_row_of_the_wrong_length_or_kind():
+    with pytest.raises(ValueError, match="malformed instance JSON: row 1 has 1 entries, expected 2"):
+        from_json(_entries_json([[0.5, 1.0], [0.5], [0.0, 0.0]], m=3))
+    with pytest.raises(ValueError, match="malformed instance JSON: row 1 is not a list"):
+        from_json(_entries_json([[0.5, 1.0], 0.5], m=2))
+
+
+class _Trickle(io.TextIOBase):
+    """A text whose ``read`` returns at most ``step`` characters per call,
+    so every value in it is cut at some chunk boundary."""
+
+    def __init__(self, text, step):
+        self.text, self.step, self.at = text, step, 0
+
+    def read(self, size=-1):
+        out = self.text[self.at:self.at + self.step]
+        self.at += len(out)
+        return out
+
+
+STEPS = (1, 2, 3, 7)
+
+
+def _one_line(a):
+    # the layout the benchmark writes
+    return json.dumps({"m": a.shape[0], "n": a.shape[1], "entries": a.tolist()})
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_chunked_read_round_trips_bit_exact_in_both_layouts(step):
+    inst = make_instance(AWKWARD)
+    for text in (to_json(inst), _one_line(inst.a)):
+        assert _load(_Trickle(text, step)).a.tobytes() == inst.a.tobytes()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               min_side=1, max_side=4),
+                  elements=st.floats(min_value=-1.0, max_value=1.0)),
+       st.sampled_from(STEPS))
+@settings(max_examples=60, deadline=None)
+def test_chunked_read_round_trips_any_instance(a, step):
+    inst = make_instance(a)
+    for text in (to_json(inst), _one_line(inst.a)):
+        assert _load(_Trickle(text, step)).a.tobytes() == inst.a.tobytes()
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_chunked_read_takes_keys_in_any_order_and_extra_keys(step):
+    # "1.5e-3" cut after "1." or "1.5e-" still decodes, as a shorter number
+    text = ('{"note": {"by": ["x", 1, null]}, "n": 2, "margin": 1.5e-3, "entries": '
+            '[[0.25, -0.0], [1, -1]], "seed": 12345678901234567890, "x": -20.0, "m": 2}')
+    a = _load(_Trickle(text, step)).a
+    assert a.tobytes() == np.array([[0.25, -0.0], [1.0, -1.0]]).tobytes()
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_chunked_read_rejects_every_proper_prefix(step):
+    text = to_json(make_instance(AWKWARD))
+    end = text.rindex("}")
+    for k in range(end + 1):
+        with pytest.raises(ValueError):
+            _load(_Trickle(text[:k], step))
+
+
+@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("text", [
+    '{"m": 1, "n": 2, "entries": [[0.5, 1.0]]} 0',
+    '{"m": 1, "n": 2, "entries": [[0.5, 1.0]]}{}',
+    '{"m": 1, "n": 2, "entries": [["0.5", 1.0]]}',
+    '{"m": 1, "n": 2, "entries": [[0.5, true]]}',
+    '{"m": 1, "n": 2, "entries": [[false, true]]}',
+    '{"m": 1, "n": 2, "entries": [[[0.5], 1.0]]}',
+    '{"m": 1, "n": 2, "entries": [[0.5, null]]}',
+    '{"m": 1, "n": 2, "entries": [[0.5, 1.0],]}',
+])
+def test_chunked_read_rejects_trailing_data_and_entries_that_are_not_numbers(text, step):
+    with pytest.raises(ValueError, match="malformed instance JSON"):
+        _load(_Trickle(text, step))
+
+
+def test_read_instance_peak_memory_is_about_twice_the_matrix(tmp_path):
+    # json.load would hold the text and a Python float per entry, several
+    # times the float64 matrix; the streamed read holds the rows as small
+    # float64 arrays while the one column-major matrix is filled from them
+    m, n = 2000, 200
+    path = tmp_path / "inst.json"
+    write_instance(fixtures.random_instance(np.random.default_rng(5), m, n), path)
+    tracemalloc.start()
+    try:
+        inst = read_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.a.shape == (m, n)
+    assert peak < 2.5 * m * n * 8
