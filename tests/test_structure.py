@@ -375,9 +375,12 @@ def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
     assert factors == []
 
 
-@pytest.mark.parametrize("name", ["dgeqp3", "dorgqr", "dormqr"])
+@pytest.mark.parametrize("name", ["dgeqp3", "dorgqr", "dormqr", "dgeqrt", "dgemqrt"])
 def test_a_nonzero_lapack_info_raises(name, monkeypatch):
-    # an attainable analysis runs all three routines, a certificate two
+    # an attainable analysis runs every routine its blocks' path calls, a
+    # certificate all but dorgqr; the 3x2 fixture takes the one-stage
+    # path, the 600x60 block the two-stage one, which adds dgeqrt and
+    # dgemqrt
     real = getattr(scipy.linalg.lapack, name)
 
     def failing(*args, **kwargs):
@@ -385,13 +388,16 @@ def test_a_nonzero_lapack_info_raises(name, monkeypatch):
         return ret if kwargs.get("lwork") == -1 else (*ret[:-1], -4)
 
     monkeypatch.setattr(scipy.linalg.lapack, name, failing)
-    inst = fixtures.attainable_tilted()
-    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {name} returned info=-4"):
-        analyze(inst)
-    if name != "dorgqr":
-        loss = make_loss(LOGISTIC, inst.m)
-        with pytest.raises(np.linalg.LinAlgError, match=name):
-            dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
+    insts = [planted(ATTAINABLE, 600, 60, 0)]
+    if name not in ("dgeqrt", "dgemqrt"):
+        insts.append(fixtures.attainable_tilted())
+    for inst in insts:
+        with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {name} returned info=-4"):
+            analyze(inst)
+        if name != "dorgqr":
+            loss = make_loss(LOGISTIC, inst.m)
+            with pytest.raises(np.linalg.LinAlgError, match=name):
+                dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
 
 
 def test_pivoted_qr_matches_scipy(monkeypatch):
@@ -413,9 +419,10 @@ def test_pivoted_qr_matches_scipy(monkeypatch):
     deficient = 0
     for inst in cases:
         a, rows = inst.a, []
-        f, tau, piv, rank = structure._pivoted_qr(a)
+        f, tau, piv, rank, first = structure._pivoted_qr(a)
         q, r, p = scipy.linalg.qr(a, mode="economic", pivoting=True)
         tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
+        assert first is None
         assert np.array_equal(piv, p)
         assert rank == np.count_nonzero(np.abs(np.diag(r)) > tol)
         assert np.array_equal(np.triu(f[:r.shape[0]]), r)
@@ -425,6 +432,79 @@ def test_pivoted_qr_matches_scipy(monkeypatch):
         assert np.array_equal(rows[0][:, :inst.m], q[:, :rank].T)
         deficient += rank < min(a.shape)
     assert deficient >= 2
+
+
+def _tall_cases():
+    # every block at least twice as tall as wide with at least 2^15 entries
+    rng = np.random.default_rng(24)
+    yield fixtures.random_instance(rng, 600, 60)                    # full rank
+    w = fixtures.random_instance(rng, 600, 48, "ternary").a
+    yield make_instance(np.hstack([w, w[:, :6], -w[:, 6:12]]))     # duplicated, negated
+    w = rng.uniform(-1.0, 1.0, size=(700, 8))
+    yield make_instance(w @ rng.uniform(-0.2, 0.2, size=(8, 60)))  # rank 8 of 60
+
+
+def test_tall_blocks_are_pivoted_on_their_triangle(monkeypatch):
+    # dgeqrt reduces a tall block to its n x n triangle and dgeqp3 pivots
+    # only that; the pivots may differ from scipy's on norm ties, so the
+    # rank, the range and the projection are compared instead
+    class Captured(Exception):
+        pass
+
+    def capture(g, h, c, upper):
+        rows.append(g)
+        raise Captured
+
+    shapes = []
+    monkeypatch.setattr(structure, "solve", capture)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3",
+                        _counting(shapes, scipy.linalg.lapack.dgeqp3))
+    rng = np.random.default_rng(7)
+    ranks = []
+    for inst in _tall_cases():
+        a, rows, shapes[:] = inst.a, [], []
+        assert a.size >= structure.TALL_MIN_ENTRIES
+        assert inst.m >= structure.TALL_RATIO * inst.n
+        f = structure._pivoted_qr(a)
+        assert f.first is not None and f.qr.shape == (inst.n, inst.n)
+        q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
+        assert f.rank == np.count_nonzero(np.abs(np.diag(r)) > tol)
+        ranks.append(f.rank)
+        with pytest.raises(Captured):
+            analyze(inst)
+        q_r = rows[0][:, :inst.m].T
+        assert np.max(np.abs(q_r @ q_r.T - q[:, :f.rank] @ q[:, :f.rank].T)) <= 1e-13
+        basis = kernel_basis(inst)
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, size=inst.m)
+            proj = structure._kernel_projection(a, w)
+            assert np.max(np.abs(proj - basis @ (basis.T @ w))) <= 1e-12
+            assert np.max(np.abs(a.T @ proj)) <= 1e-13
+        assert shapes and all(args[0].shape[0] <= inst.n for args in shapes)
+    assert ranks == [60, 48, 8]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dual_certificate_is_accepted_on_a_tall_block(kind, monkeypatch):
+    # a planted attainable 600x60 instance: after 200 steps the projected
+    # weights are in the dual cone, so the certificate's accept branch runs
+    # on the two-stage factor
+    inst = planted(ATTAINABLE, 600, 60, 1)
+    loss = make_loss(kind, inst.m)
+    state = boost.run(inst, loss, boost.RunConfig(max_iters=200)).final_state
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(scipy.linalg.lapack, "dgeqrt", _counting(calls, scipy.linalg.lapack.dgeqrt))
+        cert = dual_certificate(inst, loss, state)
+    assert len(calls) == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "_kernel_projection", _full_q_projection)
+        ref = dual_certificate(inst, loss, state)
+    assert cert is not None and ref is not None
+    assert np.max(np.abs(cert.psi - ref.psi)) <= 1e-12
+    assert abs(cert.gap_bound - ref.gap_bound) <= 1e-12
+    assert cert.gap_bound >= 0.0
 
 
 def test_report_json_shape():
