@@ -75,7 +75,11 @@ def cmd_certify(args) -> int:
             raise bad
     else:
         with open(args.trace) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            missing = [k for k in ("j", "sign", "alpha") if k not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"--trace {args.trace} has no column {', '.join(missing)}")
+            rows = list(reader)
         lam = lam_from_steps(inst.n, ((r["j"], r["sign"], r["alpha"]) for r in rows))
     rf = RiskFunction(loss, inst.m)
     state = boost._state_at(inst, rf, lam, 0)

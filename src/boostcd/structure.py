@@ -31,8 +31,12 @@ reduces it to its n x n triangle with blocked BLAS-3 reflectors, and
 dgeqp3 pivots only that, which about halves the factor's time at
 5000 x 500.  On small or square blocks (a 50 x 20 analysis, say) the
 second stage would cost more than it saves, so they keep the one stage.
-Q is applied by its reflectors everywhere, and formed only for the core
-LP, whose rows are its first rank columns.
+Q is never formed.  The core LP's rows, Q_r^T for the first rank columns
+Q_r of Q, are R11^-T B^T, one triangular solve with R's leading triangle
+R11 and the first rank pivot columns B; everywhere else Q is applied by
+its reflectors.  Every LAPACK call goes through :func:`_lapack`, which
+raises on a nonzero info; the one BLAS call, the core LP's triangular
+solve, has no info to check.
 For a weakly learnable instance only, :func:`analyze` solves one more
 LP, for the rate gamma, with one row per weak learner
 (:func:`_gamma_lp`), whose solution and multipliers bracket gamma from
@@ -90,8 +94,16 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
 
         min -1^T t  s.t.  Q_r^T (t + s) = 0,  0 <= t <= 1,  s >= 0,
 
-    where Q_r, a basis of range(A), is the first ``rank`` columns of the
-    Q of :func:`_pivoted_qr`, formed by :func:`_range_basis`.
+    where Q_r, an orthonormal basis of range(A), is the first ``rank``
+    columns of the Q of :func:`_pivoted_qr`.  Q is not formed: with B the
+    first ``rank`` pivot columns of A and R11 R's leading triangle,
+    B = Q_r R11 since R is upper triangular, so Q_r^T = R11^-T B^T is one
+    triangular solve (dtrsm).  On a tall block this holds with
+    Q = Q1 diag(Q2, I), so the first stage never reaches the LP.  B^T
+    itself has the same kernel but R11's condition number: with
+    near-copies of columns (cond(R11) 1e8) the interior-point iteration
+    does not converge on it, while R11^-T B^T is orthonormal to about
+    cond(R11) eps.
     Since ker(Q_r^T) = ker(A^T), this is the LP over A^T (t + s) = 0, but
     its rows are independent however A's columns repeat, as the
     interior-point method needs.  Every feasible t + s is in the dual
@@ -110,7 +122,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
 
     Each row block is factored once.  The pivoted QR A P = Q R that
     gives the LP its rows gives lam as the basic solution
-    (P^T lam)[:rank] = R11^-1 y; R is upper triangular, so A lam = Q_r y.
+    (P^T lam)[:rank] = R11^-1 y, so A lam = B R11^-1 y = Q_r y.
     On a tall block R is the second stage's, R1 P = Q2 R, and the same
     holds with Q = Q1 diag(Q2, I).
     A mixed instance factors its core rows once, A_core P_c = Q_c R_c,
@@ -135,8 +147,15 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         k = nz.size
         f = _pivoted_qr(b)
         rank = f.rank
-        q_r = _range_basis(f)
-        x, y = solve(np.hstack([q_r.T, q_r.T]), np.zeros(rank),
+        # R11: the triangular solves read only its upper triangle, not the
+        # reflectors below.  The rows come from BLAS's dtrsm, not LAPACK's
+        # dtrtrs: scipy's OpenBLAS threads dtrtrs for any right-hand side of
+        # two or more columns, however small, and its idle threads then
+        # spin against numpy's BLAS (2 CPUs: 200-step 5000 x 500 runs after
+        # a 30 x 12 analysis took 25-40% longer)
+        r11 = f.qr[:rank, :rank]
+        q_r_t = scipy.linalg.blas.dtrsm(1.0, r11, b[:, f.piv[:rank]].T, trans_a=1)
+        x, y = solve(np.hstack([q_r_t, q_r_t]), np.zeros(rank),
                      np.concatenate([-np.ones(k), np.zeros(k)]),
                      np.concatenate([np.ones(k), np.full(k, np.inf)]))
         in_core = x[:k] > 0.5
@@ -145,13 +164,12 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
             # the core block is b, whose factor is in hand
             psi[nz] = _project_out(f, x[:k] + x[k:])
         else:
-            lam[f.piv[:rank]] = scipy.linalg.solve_triangular(np.triu(f.qr[:rank, :rank]), y)
+            lam[f.piv[:rank]] = _lapack("dtrtrs", r11, y)[0]
             if np.any(in_core):
                 fc = _pivoted_qr(b[in_core])
                 psi[nz[in_core]] = _project_out(fc, (x[:k] + x[k:])[in_core])
                 rc = np.triu(fc.qr[:fc.rank])
-                lam[fc.piv[:fc.rank]] -= scipy.linalg.solve_triangular(
-                    rc[:, :fc.rank], rc @ lam[fc.piv])
+                lam[fc.piv[:fc.rank]] -= _lapack("dtrtrs", rc[:, :fc.rank], rc @ lam[fc.piv])[0]
     return [int(i) for i in np.flatnonzero(core)], psi, lam
 
 
@@ -268,25 +286,12 @@ def _gamma_lp(inst: BoostInstance) -> float:
     return edge
 
 
-# LAPACK routines whose wrappers take no workspace argument and return
-# no work array
-_NO_WORKSPACE = frozenset({"dgeqrt", "dgemqrt"})
-
-
 def _lapack(name: str, *args, **kwargs) -> list:
     """Call LAPACK's ``name`` through :mod:`scipy.linalg.lapack` and
-    return its outputs before ``(work, info)``, or before ``info`` for
-    the routines in _NO_WORKSPACE.  Without an ``lwork`` the optimal
-    workspace is queried first (``lwork=-1``), as :mod:`scipy.linalg`
-    does.  A nonzero info raises LinAlgError naming the routine, so a
-    failed call returns no factor or projection."""
-    routine = getattr(scipy.linalg.lapack, name)
-    if name in _NO_WORKSPACE:
-        *out, info = routine(*args, **kwargs)
-    else:
-        if "lwork" not in kwargs:
-            kwargs["lwork"] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-        *out, _, info = routine(*args, **kwargs)
+    return its outputs before ``info``.  A nonzero info raises
+    LinAlgError naming the routine, so a failed call returns no factor,
+    solution or projection."""
+    *out, info = getattr(scipy.linalg.lapack, name)(*args, **kwargs)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK {name} returned info={info}")
     return out
@@ -323,11 +328,11 @@ def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
     on small or square blocks the second stage costs more than it saves,
     and they keep the one dgeqp3 of A, unchanged.
 
-    Q is never formed here.  :func:`_project_out` applies it by
-    reflectors; only the core LP of :func:`_dual_core`, which needs Q_r as
-    a matrix, forms it (:func:`_range_basis`).  The rank counts the
-    |diag R| above KERNEL_RANK_TOL times the largest column norm of A, so
-    the first ``rank`` columns of Q span range(A).
+    Q is never formed: :func:`_project_out` applies it by reflectors, and
+    :func:`_dual_core` gets the core LP's rows Q_r^T from R's leading
+    triangle and A's pivot columns by one triangular solve.  The rank
+    counts the |diag R| above KERNEL_RANK_TOL times the largest column
+    norm of A, so the first ``rank`` columns of Q span range(A).
     """
     # the norms' m x n temporary is freed before the factor is allocated
     tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
@@ -336,25 +341,11 @@ def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
         n = a.shape[1]
         first = tuple(_lapack("dgeqrt", min(32, n), a))
         a = np.triu(first[0][:n])
-    qr, piv, tau = _lapack("dgeqp3", a)
+    # the optimal workspace, queried first as scipy.linalg.qr queries it
+    lwork = int(_lapack("dgeqp3", a, lwork=-1)[3][0])
+    qr, piv, tau, _ = _lapack("dgeqp3", a, lwork=lwork)
     piv -= 1
     return _PivotedQR(qr, tau, piv, int(np.count_nonzero(np.abs(np.diag(qr)) > tol)), first)
-
-
-def _range_basis(f: _PivotedQR) -> np.ndarray:
-    """Q_r, the first ``rank`` columns of Q, as a matrix: dorgqr forms
-    Q2's, and on a tall block one dgemqrt applies Q1 to [Q2_r; 0]."""
-    # formed min(m, n) columns wide, as scipy.linalg.qr forms Q: on a
-    # rank-deficient block, dorgqr's updates of a narrower block sum in
-    # another order and would move Q_r, and with it the analysis, in its
-    # last bits
-    q_r = _lapack("dorgqr", f.qr[:, :f.tau.size], f.tau)[0][:, :f.rank]
-    if f.first is None:
-        return q_r
-    v, t = f.first
-    c = np.zeros((v.shape[0], f.rank), order="F")
-    c[:q_r.shape[0]] = q_r
-    return _lapack("dgemqrt", v, t, c, "L", "N", overwrite_c=1)[0]
 
 
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -403,7 +394,7 @@ def _reflect_out(h: np.ndarray, t: np.ndarray, rank: int, c: np.ndarray) -> np.n
     # lwork 1 (the one column) takes dormqr's unblocked path, one reflector
     # at a time; on a single vector the blocked path's triangular factors
     # cost more than they save
-    c, = _lapack("dormqr", "L", "T", h, t, c, lwork=1)
+    c, _ = _lapack("dormqr", "L", "T", h, t, c, lwork=1)
     c[:rank] = 0.0
     return _lapack("dormqr", "L", "N", h, t, c, lwork=1, overwrite_c=1)[0]
 

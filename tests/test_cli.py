@@ -186,6 +186,19 @@ def test_certify_rejects_a_malformed_trace_row(tmp_path, capsys):
     assert "error: step row 2: (j, sign, alpha) = (-1," in err
 
 
+def test_certify_names_the_missing_trace_columns(tmp_path, capsys):
+    # a missing column was a KeyError, reported as "error: 'j'"
+    path = tmp_path / "mixed.json"
+    write_instance(fixtures.mixed_3x2(), path)
+    trace_path = tmp_path / "trace.csv"
+    for header, missing in (("t,objective,grad_inf,sign", "j, alpha"),
+                            ("t,objective,grad_inf,j,alpha", "sign")):
+        trace_path.write_text(header + "\n")
+        code, out, err = _run(capsys, "certify", str(path), "--trace", str(trace_path))
+        assert code == 1 and out == ""
+        assert err == f"error: --trace {trace_path} has no column {missing}\n"
+
+
 def test_certify_unavailable(tmp_path, capsys):
     path = tmp_path / "halfpos.json"
     write_instance(make_instance([[0.5], [1.0]]), path)

@@ -375,12 +375,12 @@ def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
     assert factors == []
 
 
-@pytest.mark.parametrize("name", ["dgeqp3", "dorgqr", "dormqr", "dgeqrt", "dgemqrt"])
+@pytest.mark.parametrize("name", ["dgeqp3", "dtrtrs", "dormqr", "dgeqrt", "dgemqrt"])
 def test_a_nonzero_lapack_info_raises(name, monkeypatch):
-    # an attainable analysis runs every routine its blocks' path calls, a
-    # certificate all but dorgqr; the 3x2 fixture takes the one-stage
-    # path, the 600x60 block the two-stage one, which adds dgeqrt and
-    # dgemqrt
+    # an attainable analysis runs every routine its blocks' path calls but
+    # dtrtrs, which only the primal witness of a mixed one needs, and a
+    # certificate all but dtrtrs; the 3x2 fixtures take the one-stage path,
+    # the 600x60 blocks the two-stage one, which adds dgeqrt and dgemqrt
     real = getattr(scipy.linalg.lapack, name)
 
     def failing(*args, **kwargs):
@@ -388,13 +388,15 @@ def test_a_nonzero_lapack_info_raises(name, monkeypatch):
         return ret if kwargs.get("lwork") == -1 else (*ret[:-1], -4)
 
     monkeypatch.setattr(scipy.linalg.lapack, name, failing)
-    insts = [planted(ATTAINABLE, 600, 60, 0)]
+    regime, small = ((MIXED, fixtures.mixed_3x2) if name == "dtrtrs"
+                     else (ATTAINABLE, fixtures.attainable_tilted))
+    insts = [planted(regime, 600, 60, 0)]
     if name not in ("dgeqrt", "dgemqrt"):
-        insts.append(fixtures.attainable_tilted())
+        insts.append(small())
     for inst in insts:
         with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {name} returned info=-4"):
             analyze(inst)
-        if name != "dorgqr":
+        if name != "dtrtrs":
             loss = make_loss(LOGISTIC, inst.m)
             with pytest.raises(np.linalg.LinAlgError, match=name):
                 dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
@@ -402,9 +404,10 @@ def test_a_nonzero_lapack_info_raises(name, monkeypatch):
 
 def test_pivoted_qr_matches_scipy(monkeypatch):
     # scipy.linalg.qr is the reference: with dgeqp3's workspace queried
-    # as scipy queries it, the pivots, the rank, R and the Q_r the core
-    # LP gets are its own to the bit, so the rank decisions the hard core
-    # and every certificate rest on are scipy's
+    # as scipy queries it, the pivots, the rank and R are its own to the
+    # bit, so the rank decisions the hard core and every certificate rest
+    # on are scipy's; the core LP's rows [Q_r^T, Q_r^T] come from R11 and
+    # the pivot columns, not from scipy's Q, so they match it to roundoff
     class Captured(Exception):
         pass
 
@@ -429,7 +432,8 @@ def test_pivoted_qr_matches_scipy(monkeypatch):
         assert np.all(np.any(a != 0.0, axis=1))  # the LP's block is all of A
         with pytest.raises(Captured):
             analyze(inst)
-        assert np.array_equal(rows[0][:, :inst.m], q[:, :rank].T)
+        assert np.array_equal(rows[0][:, :inst.m], rows[0][:, inst.m:])
+        assert np.max(np.abs(rows[0][:, :inst.m].T - q[:, :rank])) <= 1e-13
         deficient += rank < min(a.shape)
     assert deficient >= 2
 
@@ -483,6 +487,21 @@ def test_tall_blocks_are_pivoted_on_their_triangle(monkeypatch):
             assert np.max(np.abs(a.T @ proj)) <= 1e-13
         assert shapes and all(args[0].shape[0] <= inst.n for args in shapes)
     assert ranks == [60, 48, 8]
+
+
+def test_tall_blocks_are_analyzed_end_to_end():
+    # every block below is tall, so the core LP's rows and both witnesses
+    # come from the two-stage factor
+    regimes = []
+    for inst in [*(planted(r, 600, 60, 0) for r in REGIMES), list(_tall_cases())[2]]:
+        assert inst.a.size >= structure.TALL_MIN_ENTRIES
+        assert inst.m >= structure.TALL_RATIO * inst.n
+        rep = analyze(inst)
+        assert list(rep.hard_core) == _highs_hard_core(_unit_columns(inst.a))
+        verify_witness(inst, [i - 1 for i in rep.hard_core],
+                       lam=rep.witness_primal, psi=rep.witness_dual)
+        regimes.append(rep.regime)
+    assert regimes[:3] == list(REGIMES)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -607,6 +626,51 @@ def test_hard_core_matches_highs_on_degenerate_instances():
         assert list(rep.hard_core) == _highs_hard_core(_unit_columns(a))
         regimes.add(rep.regime)
     assert regimes == {WEAK_LEARNABLE, ATTAINABLE, MIXED}
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-9])
+@pytest.mark.parametrize("seed", range(3))
+def test_near_dependent_pivot_columns_are_labelled(delta, seed):
+    # four near-copies of columns make R11 ill conditioned (cond 1e8 and
+    # more): the core LP's rows R11^-T B^T are orthonormal to about
+    # cond(R11) eps, where the raw pivot columns B stall the solver
+    a = planted(WEAK_LEARNABLE, 40, 12, seed).a
+    rng = np.random.default_rng(seed)
+    a = np.hstack([a, a[:, :4] + delta * rng.uniform(-1.0, 1.0, size=(40, 4))])
+    inst = make_instance(a / np.max(np.abs(a)))
+    rep = analyze(inst)
+    assert rep.regime == WEAK_LEARNABLE
+    verify_witness(inst, [], lam=rep.witness_primal)
+
+
+def _metamorphic_cases():
+    for regime in REGIMES:
+        for seed in range(3):
+            yield planted(regime, 50, 20, seed)
+        yield planted(regime, 200, 60, 0)
+
+
+def test_metamorphic_relations_of_the_analysis():
+    # exact invariances of the hard core and gamma, which need no
+    # reference solver: a row permutation permutes the core, scaling A by
+    # c scales gamma by c, and appending negated columns changes neither
+    rng = np.random.default_rng(12)
+    for inst in _metamorphic_cases():
+        rep = analyze(inst)
+        core = np.zeros(inst.m, dtype=bool)
+        core[[i - 1 for i in rep.hard_core]] = True
+        perm = rng.permutation(inst.m)
+        permuted = analyze(make_instance(inst.a[perm]))
+        assert permuted.hard_core == tuple(np.flatnonzero(core[perm]) + 1)
+        for c in (0.5, 1e-3):
+            scaled = analyze(make_instance(c * inst.a))
+            assert scaled.hard_core == rep.hard_core
+            assert abs(scaled.gamma_classical - c * rep.gamma_classical) <= (
+                1e-7 * c * rep.gamma_classical)
+        cols = rng.choice(inst.n, size=3, replace=False)
+        negated = analyze(make_instance(np.hstack([inst.a, -inst.a[:, cols]])))
+        assert negated.hard_core == rep.hard_core
+        assert abs(negated.gamma_classical - rep.gamma_classical) <= 1e-7 * rep.gamma_classical
 
 
 def test_verify_witness_rejects_corrupted_witnesses():
