@@ -36,7 +36,12 @@ Q_r of Q, are R11^-T B^T, one triangular solve with R's leading triangle
 R11 and the first rank pivot columns B; everywhere else Q is applied by
 its reflectors.  Every LAPACK call goes through :func:`_lapack`, which
 raises on a nonzero info; the one BLAS call, the core LP's triangular
-solve, has no info to check.
+solve, has no info to check.  scipy's LAPACK runs on its own bundled
+OpenBLAS, beside numpy's, whose threads spin on the same CPUs for a while
+after the descent's mat-vecs.  So a certificate of at least
+TALL_MIN_ENTRIES entries factors and projects on one scipy thread, and
+restores scipy's thread count after (:func:`_kernel_projection`); smaller
+certificates and every analysis make the calls they made before.
 For a weakly learnable instance only, :func:`analyze` solves one more
 LP, for the rate gamma, with one row per weak learner
 (:func:`_gamma_lp`), whose solution and multipliers bracket gamma from
@@ -53,8 +58,11 @@ an SVD kernel basis) live in ``tests/references.py``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -348,6 +356,23 @@ def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
     return _PivotedQR(qr, tau, piv, int(np.count_nonzero(np.abs(np.diag(qr)) > tol)), first)
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """``scipy_openblas_get_num_threads`` and ``..._set_num_threads`` of the
+    OpenBLAS in scipy's ``scipy.libs``, by ctypes, looked up on the first
+    call (the first large certificate) and kept; () when the library or
+    either symbol is missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if n.startswith("libscipy_openblas") and n.endswith(".so")):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            pass
+    return ()
+
+
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
 
@@ -355,8 +380,33 @@ def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     :func:`_pivoted_qr`, whose factor is all this holds: O(m n^2) time and
     O(m n) memory.  Q is applied by reflectors (:func:`_project_out`) and
     never formed.
+
+    From TALL_MIN_ENTRIES entries on, where the factor becomes BLAS-3
+    work, the factor and the projection run with scipy's OpenBLAS on one
+    thread (:func:`_scipy_blas_threads`), and the thread count is restored
+    on every exit, a raise included.  scipy bundles its own OpenBLAS
+    beside numpy's, and a pool that has just worked keeps its threads
+    spinning for up to about 200 ms.  A certificate usually follows a run, whose
+    mat-vecs leave numpy's pool spinning, and scipy's threads then fight
+    it: on 2 vCPUs a 5000 x 500 projection right after numpy's A @ lam
+    took 174 ms on two threads and 135 ms on one, and 200 ms later, with
+    the spin over, 105 and 129 ms.  One thread never wakes scipy's
+    workers, so it also leaves no spin behind for the next run.  Smaller
+    blocks skip the pin, whose lookup and two calls would cost a 50 x 20
+    certificate about a quarter of its time, and make every call they made
+    before it.  Only 2 vCPUs were measured: on a many-core machine one
+    thread may be slower than the contended pool.
     """
-    return _project_out(_pivoted_qr(a), w)
+    threads = _scipy_blas_threads() if a.size >= TALL_MIN_ENTRIES else ()
+    if not threads:
+        return _project_out(_pivoted_qr(a), w)
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        return _project_out(_pivoted_qr(a), w)
+    finally:
+        put(before)
 
 
 def _project_out(f: _PivotedQR, w: np.ndarray) -> np.ndarray:
@@ -423,12 +473,17 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     O(m n) memory.  A tall A (see :func:`_pivoted_qr`) is first reduced to
     its n x n triangle by dgeqrt, and only that is pivoted, by dgeqp3: at
     5000 x 500 about 0.1 s against 0.2 s for dgeqp3 on all of A, and at
-    50 x 20 the one-stage path is unchanged.  Projections with a
-    coordinate below -1e-10 are rejected; tiny negatives are clipped to
-    zero and the kernel residual re-checked.  Returns None when no
-    certificate can be extracted at this iterate.  Raises ValueError,
-    before anything is factored, when the loss was built for another m
-    or the dual weights are not of shape (m,).
+    50 x 20 the one-stage path is unchanged.  From TALL_MIN_ENTRIES
+    entries on, the factor and the projection run with scipy's OpenBLAS
+    on one thread, its count restored after: right after a run, on
+    2 vCPUs, that took the 5000 x 500 certificate from about 0.19 to
+    0.13 s, as scipy's threads no longer fight numpy's spinning ones
+    (see :func:`_kernel_projection`, with its many-core caveat).
+    Projections with a coordinate below -1e-10 are rejected; tiny
+    negatives are clipped to zero and the kernel residual re-checked.
+    Returns None when no certificate can be extracted at this iterate.
+    Raises ValueError, before anything is factored, when the loss was
+    built for another m or the dual weights are not of shape (m,).
     """
     rf = RiskFunction(loss, inst.m)
     w = state.dual_weights

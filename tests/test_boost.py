@@ -433,3 +433,24 @@ def test_every_step_state_matches_the_checked_loss_entry(regime, m, n, kind, lin
         assert state.objective == rf.value(state.margins), t
         assert state.dual_weights.tobytes() == weights.tobytes(), t
         assert state.grad_inf == float(np.max(np.abs(inst.a.T @ weights))), t
+
+
+def test_a_column_permutation_relabels_the_descent():
+    # a metamorphic relation: permuting A's columns only renames the weak
+    # learners, so each step selects the image of the original's column
+    # and the objectives agree to roundoff (BLAS sums A @ lam in another
+    # order; planted instances have no ties in the gradient)
+    perm = np.random.default_rng(5).permutation(20)
+    for regime in ("weak_learnable", "attainable", "mixed"):
+        inst = planted(regime, 50, 20, 0)
+        permuted = make_instance(inst.a[:, perm])
+        for kind in ("logistic", "exp"):
+            loss = make_loss(kind, inst.m)
+            for line_search in (boost.linesearch.WOLFE, boost.linesearch.EXACT):
+                cfg = RunConfig(line_search=line_search, grad_tol=0.0, max_iters=150)
+                ref, out = run(inst, loss, cfg).records, run(permuted, loss, cfg).records
+                assert len(ref) == len(out) == 150
+                assert [r.j for r in ref] == [perm[r.j] for r in out]
+                assert [r.sign for r in ref] == [r.sign for r in out]
+                for r, o in zip(ref, out):
+                    assert abs(r.objective - o.objective) <= 1e-12 * r.objective

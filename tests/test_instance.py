@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,8 +66,15 @@ def test_row_subset():
     inst = make_instance([[1.0], [0.0], [-1.0]])
     sub = inst.row_subset([2, 0])
     np.testing.assert_array_equal(sub.a, [[-1.0], [1.0]])
+    np.testing.assert_array_equal(inst.row_subset(np.array([1, 1])).a, [[0.0], [0.0]])
     with pytest.raises(ValueError):
         inst.row_subset([])
+    # numpy would read -1 as the last row and booleans as a mask
+    for rows, named in [([-1], "-1"), ([0, 3], "3"), ([True, False, True], "True, False, True"),
+                        (np.array([True, False, True]), "np.True_, np.False_, np.True_"),
+                        ([1.0], "1.0"), (["0"], "'0'"), ([0, -2, 5], "-2, 5")]:
+        with pytest.raises(ValueError, match=rf"integers in 0\.\.2; got {re.escape(named)}$"):
+            inst.row_subset(rows)
 
 
 AWKWARD = [[0.1, -1.0, 1.0 / 3.0, -0.0],

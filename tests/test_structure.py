@@ -526,6 +526,114 @@ def test_dual_certificate_is_accepted_on_a_tall_block(kind, monkeypatch):
     assert cert.gap_bound >= 0.0
 
 
+def _tall_certificate_case():
+    # a planted attainable 600x60 instance after 200 steps: at the pin's
+    # gate (TALL_MIN_ENTRIES entries), and its certificate is accepted
+    inst = planted(ATTAINABLE, 600, 60, 1)
+    assert inst.a.size >= structure.TALL_MIN_ENTRIES
+    loss = make_loss(LOGISTIC, inst.m)
+    return inst, loss, boost.run(inst, loss, boost.RunConfig(max_iters=200)).final_state
+
+
+def _scipy_blas_threads_or_skip():
+    threads = structure._scipy_blas_threads()
+    if not threads:
+        pytest.skip("this scipy build exports no OpenBLAS thread-count functions")
+    return threads
+
+
+def test_large_certificates_run_on_one_scipy_blas_thread(monkeypatch):
+    # every LAPACK call of the certificate's factor and projection sees
+    # one thread, and the count before the certificate is restored after
+    # it, also when a LAPACK call raises inside the pin
+    get, put = _scipy_blas_threads_or_skip()
+    inst, loss, state = _tall_certificate_case()
+    real, seen = structure._lapack, []
+
+    def recording(name, *args, **kwargs):
+        seen.append((name, get()))
+        return real(name, *args, **kwargs)
+
+    def failing(name, *args, **kwargs):
+        if name == "dgeqrt":
+            raise np.linalg.LinAlgError("LAPACK dgeqrt returned info=-4")
+        return real(name, *args, **kwargs)
+
+    before = get()
+    try:
+        put(2)
+        monkeypatch.setattr(structure, "_lapack", recording)
+        assert dual_certificate(inst, loss, state) is not None
+        assert get() == 2
+        assert {name for name, _ in seen} == {"dgeqrt", "dgeqp3", "dgemqrt", "dormqr"}
+        assert {k for _, k in seen} == {1}
+        monkeypatch.setattr(structure, "_lapack", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrt"):
+            dual_certificate(inst, loss, state)
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_small_certificates_skip_the_blas_pin(monkeypatch):
+    # below TALL_MIN_ENTRIES the certificate makes the calls it made
+    # before the pin: no lookup, no get or set
+    def never():
+        raise AssertionError("the pin ran on a small certificate")
+
+    monkeypatch.setattr(structure, "_scipy_blas_threads", never)
+    inst = planted(MIXED, 50, 20, 0)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = boost.run(inst, loss, boost.RunConfig(max_iters=50)).final_state
+    dual_certificate(inst, loss, state)
+
+
+@pytest.mark.parametrize("missing", ["symbols", "library"])
+def test_large_certificates_without_the_blas_symbols_run_unpinned(missing, monkeypatch):
+    # another scipy build: the lookup finds nothing and the pin does
+    # nothing; the certificate moves only by the thread count's roundoff
+    _scipy_blas_threads_or_skip()
+    inst, loss, state = _tall_certificate_case()
+    pinned = dual_certificate(inst, loss, state)
+
+    def cdll(path):
+        if missing == "library":
+            raise OSError(path)
+        return object()
+
+    structure._scipy_blas_threads.cache_clear()
+    try:
+        monkeypatch.setattr(structure.ctypes, "CDLL", cdll)
+        unpinned = dual_certificate(inst, loss, state)
+        assert structure._scipy_blas_threads() == ()
+    finally:
+        monkeypatch.undo()
+        structure._scipy_blas_threads.cache_clear()
+    assert pinned is not None and unpinned is not None
+    assert np.max(np.abs(unpinned.psi - pinned.psi)) <= 1e-12 * np.max(pinned.psi)
+    assert abs(unpinned.gap_bound - pinned.gap_bound) <= 1e-12 * pinned.gap_bound
+
+
+def test_import_leaves_scipy_blas_alone():
+    # the lookup is lazy: importing the package neither opens scipy's
+    # OpenBLAS by ctypes nor changes its thread count
+    code = ("import ctypes, os, scipy, scipy.linalg\n"
+            "libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), 'scipy.libs')\n"
+            "names = [n for n in sorted(os.listdir(libs)) if n.startswith('libscipy_openblas')]\n"
+            "get = ctypes.CDLL(os.path.join(libs, names[0])).scipy_openblas_get_num_threads\n"
+            "before = get()\n"
+            "import boostcd\n"
+            "from boostcd import structure\n"
+            "print(structure._scipy_blas_threads.cache_info().currsize == 0,"
+            " get() == before)\n")
+    _scipy_blas_threads_or_skip()
+    src = os.path.dirname(os.path.dirname(boostcd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["True", "True"]
+
+
 def test_report_json_shape():
     rep = analyze(fixtures.mixed_3x2())
     text = rep.to_json()
@@ -671,6 +779,25 @@ def test_metamorphic_relations_of_the_analysis():
         negated = analyze(make_instance(np.hstack([inst.a, -inst.a[:, cols]])))
         assert negated.hard_core == rep.hard_core
         assert abs(negated.gamma_classical - rep.gamma_classical) <= 1e-7 * rep.gamma_classical
+
+
+def test_column_and_row_copies_keep_the_core():
+    # metamorphic relations: a column permutation or appended copies of columns
+    # leave range(A), so ker(A^T) and the core, unchanged; an appended
+    # copy of row i is in the core exactly when row i is, and moves no
+    # other row (psi + psi_copy e_i maps the new cone onto the old one)
+    rng = np.random.default_rng(13)
+    for regime in REGIMES:
+        for seed in range(3):
+            inst = planted(regime, 50, 20, seed)
+            core = analyze(inst).hard_core
+            permuted = make_instance(inst.a[:, rng.permutation(inst.n)])
+            assert analyze(permuted).hard_core == core
+            copied = make_instance(np.hstack([inst.a, inst.a[:, [0, 5, 7]]]))
+            assert analyze(copied).hard_core == core
+            for i in (0, 49):
+                doubled = analyze(make_instance(np.vstack([inst.a, inst.a[i]])))
+                assert doubled.hard_core == core + ((51,) if i + 1 in core else ())
 
 
 def test_verify_witness_rejects_corrupted_witnesses():
