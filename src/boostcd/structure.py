@@ -38,10 +38,10 @@ its reflectors.  Every LAPACK call goes through :func:`_lapack`, which
 raises on a nonzero info; the one BLAS call, the core LP's triangular
 solve, has no info to check.  scipy's LAPACK runs on its own bundled
 OpenBLAS, beside numpy's, whose threads spin on the same CPUs for a while
-after the descent's mat-vecs.  So a certificate of at least
-TALL_MIN_ENTRIES entries factors and projects on one scipy thread, and
-restores scipy's thread count after (:func:`_kernel_projection`); smaller
-certificates and every analysis make the calls they made before.
+after the descent's mat-vecs.  So a certificate of a tall A factors and
+projects on one scipy thread, and restores scipy's thread count after
+(:func:`_kernel_projection`); other certificates and every analysis make
+the calls they made before.
 For a weakly learnable instance only, :func:`analyze` solves one more
 LP, for the rate gamma, with one row per weak learner
 (:func:`_gamma_lp`), whose solution and multipliers bracket gamma from
@@ -58,11 +58,13 @@ an SVD kernel basis) live in ``tests/references.py``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -323,6 +325,14 @@ class _PivotedQR(NamedTuple):
     first: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
+def _is_tall(a: np.ndarray) -> bool:
+    """Whether :func:`_pivoted_qr` factors ``a`` in two stages, dgeqrt
+    first: at least TALL_RATIO times as tall as wide, with at least
+    TALL_MIN_ENTRIES entries.  :func:`_kernel_projection` pins scipy's
+    BLAS on the same blocks."""
+    return a.size >= TALL_MIN_ENTRIES and a.shape[0] >= TALL_RATIO * a.shape[1]
+
+
 def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
     """Column-pivoted QR A P = Q R (Businger-Golub) by LAPACK's dgeqp3, in
     compact Householder form.
@@ -345,7 +355,7 @@ def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
     # the norms' m x n temporary is freed before the factor is allocated
     tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
     first = None
-    if a.size >= TALL_MIN_ENTRIES and a.shape[0] >= TALL_RATIO * a.shape[1]:
+    if _is_tall(a):
         n = a.shape[1]
         first = tuple(_lapack("dgeqrt", min(32, n), a))
         a = np.triu(first[0][:n])
@@ -373,6 +383,38 @@ def _scipy_blas_threads():
     return ()
 
 
+# The pin's nesting depth and the count its outermost entry found, both
+# read and written under the lock (see _one_scipy_blas_thread)
+_pin_lock = threading.Lock()
+_pin_state = [0, 0]
+
+
+@contextlib.contextmanager
+def _one_scipy_blas_thread(get, put):
+    """Hold scipy's OpenBLAS at one thread for the block, by the ``get``
+    and ``put`` of :func:`_scipy_blas_threads`.
+
+    The pin is shared by every thread of the process: only the outermost
+    entry reads the count and sets one thread, and only the last exit
+    restores what it read, a raise included, so concurrent certificates
+    leave the count as they found it.  While any pin is held, all scipy
+    BLAS and LAPACK work in the process runs on one thread, and a count
+    set by another caller meanwhile is overwritten at the last exit.
+    """
+    with _pin_lock:
+        if not _pin_state[0]:
+            _pin_state[1] = get()
+            put(1)
+        _pin_state[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_state[0] -= 1
+            if not _pin_state[0]:
+                put(_pin_state[1])
+
+
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
 
@@ -381,32 +423,28 @@ def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     O(m n) memory.  Q is applied by reflectors (:func:`_project_out`) and
     never formed.
 
-    From TALL_MIN_ENTRIES entries on, where the factor becomes BLAS-3
-    work, the factor and the projection run with scipy's OpenBLAS on one
-    thread (:func:`_scipy_blas_threads`), and the thread count is restored
-    on every exit, a raise included.  scipy bundles its own OpenBLAS
-    beside numpy's, and a pool that has just worked keeps its threads
-    spinning for up to about 200 ms.  A certificate usually follows a run, whose
-    mat-vecs leave numpy's pool spinning, and scipy's threads then fight
-    it: on 2 vCPUs a 5000 x 500 projection right after numpy's A @ lam
-    took 174 ms on two threads and 135 ms on one, and 200 ms later, with
-    the spin over, 105 and 129 ms.  One thread never wakes scipy's
-    workers, so it also leaves no spin behind for the next run.  Smaller
-    blocks skip the pin, whose lookup and two calls would cost a 50 x 20
-    certificate about a quarter of its time, and make every call they made
-    before it.  Only 2 vCPUs were measured: on a many-core machine one
-    thread may be slower than the contended pool.
+    On a tall block (:func:`_is_tall`), whose factor starts with BLAS-3
+    dgeqrt, the factor and the projection run with scipy's OpenBLAS on
+    one thread (:func:`_one_scipy_blas_thread`), and the thread count is
+    restored after.  scipy bundles its own OpenBLAS beside numpy's, and a
+    pool that has just worked keeps its threads spinning for up to about
+    200 ms.  A certificate usually follows a run, whose mat-vecs leave
+    numpy's pool spinning, and scipy's threads then fight it: on 2 vCPUs
+    a 5000 x 500 projection right after numpy's A @ lam took 174 ms on
+    two threads and 135 ms on one.  One thread never wakes scipy's
+    workers, so it also leaves no spin behind for the next run.  The pin
+    costs a certificate with no BLAS work in the 200 ms before it: with
+    the spin over, the same projection took 105 ms on two threads and
+    129 ms on one.  Other blocks skip the pin, whose lookup and two calls
+    would cost a 50 x 20 certificate about a quarter of its time, and
+    make every call they made before it; square and wide blocks of
+    TALL_MIN_ENTRIES entries or more were never timed under it.  Only
+    2 vCPUs were measured: on a many-core machine one thread may be
+    slower than the contended pool.
     """
-    threads = _scipy_blas_threads() if a.size >= TALL_MIN_ENTRIES else ()
-    if not threads:
+    threads = _scipy_blas_threads() if _is_tall(a) else ()
+    with _one_scipy_blas_thread(*threads) if threads else contextlib.nullcontext():
         return _project_out(_pivoted_qr(a), w)
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        return _project_out(_pivoted_qr(a), w)
-    finally:
-        put(before)
 
 
 def _project_out(f: _PivotedQR, w: np.ndarray) -> np.ndarray:
@@ -473,12 +511,17 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     O(m n) memory.  A tall A (see :func:`_pivoted_qr`) is first reduced to
     its n x n triangle by dgeqrt, and only that is pivoted, by dgeqp3: at
     5000 x 500 about 0.1 s against 0.2 s for dgeqp3 on all of A, and at
-    50 x 20 the one-stage path is unchanged.  From TALL_MIN_ENTRIES
-    entries on, the factor and the projection run with scipy's OpenBLAS
-    on one thread, its count restored after: right after a run, on
-    2 vCPUs, that took the 5000 x 500 certificate from about 0.19 to
-    0.13 s, as scipy's threads no longer fight numpy's spinning ones
-    (see :func:`_kernel_projection`, with its many-core caveat).
+    50 x 20 the one-stage path is unchanged.  On a tall A the factor and
+    the projection run with scipy's OpenBLAS on one thread, its count
+    restored after: right after a run, on 2 vCPUs, that took the
+    5000 x 500 certificate from about 0.19 to 0.13 s, as scipy's threads
+    no longer fight numpy's spinning ones.  The gain holds only within
+    about 200 ms of numpy BLAS work; a certificate after an idle spell is
+    slower than on two threads (see :func:`_kernel_projection`, with its
+    many-core caveat).  The thread count is process-wide: concurrent
+    certificates share one pin and restore the count they found, and
+    while a pin is held every scipy BLAS call in the process runs on one
+    thread.
     Projections with a coordinate below -1e-10 are rejected; tiny
     negatives are clipped to zero and the kernel residual re-checked.
     Returns None when no certificate can be extracted at this iterate.

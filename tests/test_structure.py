@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -576,16 +577,79 @@ def test_large_certificates_run_on_one_scipy_blas_thread(monkeypatch):
 
 
 def test_small_certificates_skip_the_blas_pin(monkeypatch):
-    # below TALL_MIN_ENTRIES the certificate makes the calls it made
-    # before the pin: no lookup, no get or set
+    # only a tall block, factored by dgeqrt first, is pinned: a 50 x 20
+    # certificate, and square or wide blocks of TALL_MIN_ENTRIES entries
+    # or more, make the calls they made before the pin: no lookup, no
+    # get or set
     def never():
-        raise AssertionError("the pin ran on a small certificate")
+        raise AssertionError("the pin ran on a block that is not tall")
 
     monkeypatch.setattr(structure, "_scipy_blas_threads", never)
     inst = planted(MIXED, 50, 20, 0)
     loss = make_loss(LOGISTIC, inst.m)
     state = boost.run(inst, loss, boost.RunConfig(max_iters=50)).final_state
     dual_certificate(inst, loss, state)
+    rng = np.random.default_rng(27)
+    for m, n in ((200, 200), (120, 300), (300, 160)):
+        a = rng.uniform(-1, 1, (m, n))
+        assert a.size >= structure.TALL_MIN_ENTRIES
+        assert not structure._is_tall(a) and structure._pivoted_qr(a).first is None
+        structure._kernel_projection(a, rng.uniform(0, 1, m))
+
+
+def test_concurrent_large_certificates_share_the_blas_pin(monkeypatch):
+    # two threads certify at once, the second entering its pin after the
+    # first and leaving after it: the pin is shared, so scipy's count
+    # stays at one until the last exit, which restores the count found
+    # before either (a pin per call would restore 2 under the second
+    # thread and leave 1 behind)
+    get, put = _scipy_blas_threads_or_skip()
+    inst, loss, state = _tall_certificate_case()
+    alone = dual_certificate(inst, loss, state)
+    real, local = structure._lapack, threading.local()
+    entered, inside, first_done = threading.Event(), threading.Event(), threading.Event()
+    seen, out = ([], []), [None, None]
+
+    def staged(name, *args, **kwargs):
+        if not seen[local.k]:
+            if local.k == 0:
+                entered.set()
+                inside.wait(timeout=60)
+            else:
+                inside.set()
+                first_done.wait(timeout=60)
+        seen[local.k].append(get())
+        return real(name, *args, **kwargs)
+
+    def certify(k):
+        local.k = k
+        try:
+            out[k] = dual_certificate(inst, loss, state)
+        except BaseException as exc:  # re-raised below, in the test's thread
+            out[k] = exc
+        finally:
+            if k == 0:
+                first_done.set()
+
+    before = get()
+    try:
+        put(2)
+        monkeypatch.setattr(structure, "_lapack", staged)
+        workers = [threading.Thread(target=certify, args=(k,)) for k in (0, 1)]
+        workers[0].start()
+        entered.wait(timeout=60)
+        workers[1].start()
+        for t in workers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in workers)
+        assert get() == 2
+    finally:
+        put(before)
+    for cert in out:
+        if isinstance(cert, BaseException):
+            raise cert
+        assert np.allclose(cert.psi, alone.psi, rtol=1e-12, atol=0.0)
+    assert seen[0] and seen[1] and set(seen[0]) | set(seen[1]) == {1}
 
 
 @pytest.mark.parametrize("missing", ["symbols", "library"])
