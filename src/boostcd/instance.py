@@ -82,20 +82,26 @@ class BoostInstance:
     def n(self) -> int:
         return self.a.shape[1]
 
-    def row_subset(self, rows0) -> "BoostInstance":
-        """Sub-instance keeping the given 0-based rows, in order.  Each id
-        must be an integer in 0..m-1; a negative id, which numpy would
-        count from the end, or a boolean, which it would read as a mask,
-        raises ValueError naming the bad ids."""
+    def row_ids(self, rows0) -> list:
+        """The 0-based row ids ``rows0`` as a list.  Each id must be an
+        integer in 0..m-1; a negative id, which numpy would count from the
+        end, or a boolean, which it would read as a mask, raises ValueError
+        naming the bad ids."""
         rows0 = list(rows0)
-        if not rows0:
-            raise ValueError("row subset must be nonempty")
         bad = [r for r in rows0 if isinstance(r, (bool, np.bool_))
                or not isinstance(r, (int, np.integer)) or not 0 <= r < self.m]
         if bad:
             more = "" if len(bad) <= 8 else f" and {len(bad) - 8} more"
             raise ValueError(f"row ids must be integers in 0..{self.m - 1}; "
                              f"got {', '.join(map(repr, bad[:8]))}{more}")
+        return rows0
+
+    def row_subset(self, rows0) -> "BoostInstance":
+        """Sub-instance keeping the given 0-based rows, in order, checked
+        by :meth:`row_ids`; an empty subset raises ValueError."""
+        rows0 = self.row_ids(rows0)
+        if not rows0:
+            raise ValueError("row subset must be nonempty")
         return BoostInstance(self.a[rows0, :])
 
 

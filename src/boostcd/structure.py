@@ -20,28 +20,21 @@ interior-point method of :mod:`boostcd.lp`, whose limit is strictly
 complementary, so the core is read off its solution with no crossover.
 That solution is the dual witness and its row multipliers give the
 primal one.  Each row block is factored once (:func:`_dual_core`), by a
-column-pivoted QR in compact Householder form (:func:`_pivoted_qr`):
-that of the nonzero rows gives the LP its rows and the primal witness,
-and on a mixed instance one of the core rows projects both witnesses
-onto the core's kernels.  :func:`dual_certificate` projects through the
-same kind of factor of A.  A block is pivoted in one stage, by LAPACK's
-dgeqp3 on the whole m x n block, unless it is tall (at least TALL_RATIO
-times as tall as wide and TALL_MIN_ENTRIES entries): then dgeqrt first
-reduces it to its n x n triangle with blocked BLAS-3 reflectors, and
-dgeqp3 pivots only that, which about halves the factor's time at
-5000 x 500.  On small or square blocks (a 50 x 20 analysis, say) the
-second stage would cost more than it saves, so they keep the one stage.
-Q is never formed.  The core LP's rows, Q_r^T for the first rank columns
-Q_r of Q, are R11^-T B^T, one triangular solve with R's leading triangle
-R11 and the first rank pivot columns B; everywhere else Q is applied by
-its reflectors.  Every LAPACK call goes through :func:`_lapack`, which
-raises on a nonzero info; the one BLAS call, the core LP's triangular
-solve, has no info to check.  scipy's LAPACK runs on its own bundled
-OpenBLAS, beside numpy's, whose threads spin on the same CPUs for a while
-after the descent's mat-vecs.  So a certificate of a tall A factors and
-projects on one scipy thread, and restores scipy's thread count after
-(:func:`_kernel_projection`); other certificates and every analysis make
-the calls they made before.
+column-pivoted QR A P = Q R (:func:`_pivoted_qr`, the one function that
+knows a tall block is factored in two stages), and Q is never formed or
+kept.  One identity serves every use of range(A): with B the first rank
+pivot columns of A and R11 R's leading triangle, B = Q_r R11 for the
+first rank columns Q_r of Q.  So the core LP's rows Q_r^T are R11^-T B^T,
+one triangular solve; the primal witness is R11^-1 of the LP's
+multipliers on the pivots; and every orthogonal projection onto a kernel
+of A^T, of the dual witness onto the core's and of the iterate's weights
+in :func:`dual_certificate` onto A's, is w - B R11^-1 R11^-T B^T w
+(:func:`_project_out`).  Every LAPACK call goes through :func:`_lapack`,
+which raises on a nonzero info; the one BLAS call, the core LP's
+triangular solve, has no info to check.  A certificate of a tall A
+factors and projects with scipy's BLAS on one thread
+(:func:`_kernel_projection`); other certificates and every analysis
+leave the thread count alone.
 For a weakly learnable instance only, :func:`analyze` solves one more
 LP, for the rate gamma, with one row per weak learner
 (:func:`_gamma_lp`), whose solution and multipliers bracket gamma from
@@ -63,7 +56,6 @@ import ctypes
 import functools
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -107,13 +99,11 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     where Q_r, an orthonormal basis of range(A), is the first ``rank``
     columns of the Q of :func:`_pivoted_qr`.  Q is not formed: with B the
     first ``rank`` pivot columns of A and R11 R's leading triangle,
-    B = Q_r R11 since R is upper triangular, so Q_r^T = R11^-T B^T is one
-    triangular solve (dtrsm).  On a tall block this holds with
-    Q = Q1 diag(Q2, I), so the first stage never reaches the LP.  B^T
-    itself has the same kernel but R11's condition number: with
-    near-copies of columns (cond(R11) 1e8) the interior-point iteration
-    does not converge on it, while R11^-T B^T is orthonormal to about
-    cond(R11) eps.
+    B = Q_r R11 (:class:`_PivotedQR`), so Q_r^T = R11^-T B^T is one
+    triangular solve (dtrsm).  B^T itself has the same kernel but R11's
+    condition number: with near-copies of columns (cond(R11) 1e8) the
+    interior-point iteration does not converge on it, while R11^-T B^T is
+    orthonormal to about cond(R11) eps.
     Since ker(Q_r^T) = ker(A^T), this is the LP over A^T (t + s) = 0, but
     its rows are independent however A's columns repeat, as the
     interior-point method needs.  Every feasible t + s is in the dual
@@ -133,11 +123,10 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
     Each row block is factored once.  The pivoted QR A P = Q R that
     gives the LP its rows gives lam as the basic solution
     (P^T lam)[:rank] = R11^-1 y, so A lam = B R11^-1 y = Q_r y.
-    On a tall block R is the second stage's, R1 P = Q2 R, and the same
-    holds with Q = Q1 diag(Q2, I).
     A mixed instance factors its core rows once, A_core P_c = Q_c R_c,
     for both witnesses.  psi, t + s on the core, is projected onto
-    ker(A_core^T) orthogonally by Q_c's reflectors (:func:`_project_out`).
+    ker(A_core^T) orthogonally through B_c = Q_c,r R_c11
+    (:func:`_project_out`).
     lam, whose core residual is roundoff, is projected onto ker(A_core)
     obliquely by R_c: with u = P_c^T lam, u[:r] -= R_c11^-1 (R_c[:r] u)
     makes R_c[:r] u = 0, and R_c's rows below the rank r are below the
@@ -158,7 +147,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         f = _pivoted_qr(b)
         rank = f.rank
         # R11: the triangular solves read only its upper triangle, not the
-        # reflectors below.  The rows come from BLAS's dtrsm, not LAPACK's
+        # scratch below.  The rows come from BLAS's dtrsm, not LAPACK's
         # dtrtrs: scipy's OpenBLAS threads dtrtrs for any right-hand side of
         # two or more columns, however small, and its idle threads then
         # spin against numpy's BLAS (2 CPUs: 200-step 5000 x 500 runs after
@@ -172,12 +161,13 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         core[nz[in_core]] = True
         if np.all(in_core):
             # the core block is b, whose factor is in hand
-            psi[nz] = _project_out(f, x[:k] + x[k:])
+            psi[nz] = _project_out(b, f, x[:k] + x[k:])
         else:
             lam[f.piv[:rank]] = _lapack("dtrtrs", r11, y)[0]
             if np.any(in_core):
-                fc = _pivoted_qr(b[in_core])
-                psi[nz[in_core]] = _project_out(fc, (x[:k] + x[k:])[in_core])
+                bc = b[in_core]
+                fc = _pivoted_qr(bc)
+                psi[nz[in_core]] = _project_out(bc, fc, (x[:k] + x[k:])[in_core])
                 rc = np.triu(fc.qr[:fc.rank])
                 lam[fc.piv[:fc.rank]] -= _lapack("dtrtrs", rc[:, :fc.rank], rc @ lam[fc.piv])[0]
     return [int(i) for i in np.flatnonzero(core)], psi, lam
@@ -204,18 +194,20 @@ def verify_witness(inst: BoostInstance, core0, lam=None, psi=None) -> None:
     a roundoff margin (eps times the length of the sum times the l1 norm),
     so a true witness with a tiny edge passes.  Raises
     InvariantViolationError naming the first relation that fails (NaN
-    entries fail them all).
+    entries fail them all).  Each core id must be an integer in 0..m-1,
+    as :meth:`BoostInstance.row_ids` checks; any other raises ValueError.
     """
     a = inst.a
     eps = float(np.finfo(float).eps)
     core = np.zeros(inst.m, dtype=bool)
-    core[list(core0)] = True
+    core[inst.row_ids(core0)] = True
     if lam is not None:
         lam = np.asarray(lam, dtype=float)
         norm = float(np.abs(lam).sum())
-        if np.any(~core) and not float(np.max(a[~core] @ lam)) < -inst.n * eps * norm:
+        margins = a @ lam
+        if np.any(~core) and not float(np.max(margins[~core])) < -inst.n * eps * norm:
             raise InvariantViolationError("primal witness fails A_off @ lam < 0")
-        if np.any(core) and not float(np.max(np.abs(a[core] @ lam))) <= WITNESS_TOL * norm:
+        if np.any(core) and not float(np.max(np.abs(margins[core]))) <= WITNESS_TOL * norm:
             raise InvariantViolationError("primal witness fails A_core @ lam = 0")
     if psi is not None:
         psi = np.asarray(psi, dtype=float)
@@ -308,21 +300,19 @@ def _lapack(name: str, *args, **kwargs) -> list:
 
 
 class _PivotedQR(NamedTuple):
-    """A P = Q R in compact form, as :func:`_pivoted_qr` returns it.
+    """A P = Q R as :func:`_pivoted_qr` returns it.
 
-    ``qr`` holds R on and above its diagonal and Householder reflectors
-    below it, with their scalars ``tau``; ``piv`` is the column pivots
-    (0-based) and ``rank`` A's numerical rank.  On a tall block ``first``
-    is dgeqrt's compact WY pair (V, T) of A = Q1 [R1; 0], and ``qr`` and
-    ``tau`` factor the n x n R1, so Q = Q1 diag(Q2, I); on any other block
-    ``first`` is None and Q = Q2.
+    ``qr`` holds R on and above its diagonal (what lies below it is
+    scratch), ``piv`` the column pivots (0-based) and ``rank`` A's
+    numerical rank.  With B the first ``rank`` pivot columns of A and R11
+    R's leading rank x rank triangle, B = Q_r R11, where Q_r, the first
+    ``rank`` columns of Q, spans range(A): this is the one form in which
+    the module uses range(A), and Q itself is never kept.
     """
 
     qr: np.ndarray
-    tau: np.ndarray
     piv: np.ndarray
     rank: int
-    first: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
 def _is_tall(a: np.ndarray) -> bool:
@@ -334,53 +324,47 @@ def _is_tall(a: np.ndarray) -> bool:
 
 
 def _pivoted_qr(a: np.ndarray) -> _PivotedQR:
-    """Column-pivoted QR A P = Q R (Businger-Golub) by LAPACK's dgeqp3, in
-    compact Householder form.
+    """Column-pivoted QR A P = Q R (Businger-Golub) by LAPACK's dgeqp3.
 
     A block at least TALL_RATIO times as tall as wide, with at least
-    TALL_MIN_ENTRIES entries, is first factored without pivoting,
-    A = Q1 [R1; 0], by dgeqrt (compact WY, blocks of min(32, n) columns,
-    all BLAS-3), and dgeqp3 factors only R1 P = Q2 R (Chan's QR
+    TALL_MIN_ENTRIES entries (:func:`_is_tall`), is first factored without
+    pivoting, A = Q1 [R1; 0], by dgeqrt (compact WY, blocks of min(32, n)
+    columns, all BLAS-3), and dgeqp3 factors only R1 P = Q2 R (Chan's QR
     preprocessing): A P = Q1 diag(Q2, I) [R; 0].  At 5000 x 500 that about
     halves the factor's time, since dgeqp3 does half its flops in BLAS-2;
     on small or square blocks the second stage costs more than it saves,
-    and they keep the one dgeqp3 of A, unchanged.
+    and they keep the one dgeqp3 of A.  This is the only function that
+    knows a factor may have two stages: both stages' reflectors are
+    dropped, and what it returns is R and the pivots, which give range(A)
+    as B = Q_r R11 on either path.
 
-    Q is never formed: :func:`_project_out` applies it by reflectors, and
-    :func:`_dual_core` gets the core LP's rows Q_r^T from R's leading
-    triangle and A's pivot columns by one triangular solve.  The rank
-    counts the |diag R| above KERNEL_RANK_TOL times the largest column
-    norm of A, so the first ``rank`` columns of Q span range(A).
+    The rank counts the |diag R| above KERNEL_RANK_TOL |R[0, 0]|.  dgeqp3
+    pivots a column of largest norm first, and R1 has A's column norms,
+    so |R[0, 0]| is A's largest column norm on either path.
     """
-    # the norms' m x n temporary is freed before the factor is allocated
-    tol = KERNEL_RANK_TOL * float(np.max(np.linalg.norm(a, axis=0)))
-    first = None
     if _is_tall(a):
         n = a.shape[1]
-        first = tuple(_lapack("dgeqrt", min(32, n), a))
-        a = np.triu(first[0][:n])
+        a = np.triu(_lapack("dgeqrt", min(32, n), a)[0][:n])
     # the optimal workspace, queried first as scipy.linalg.qr queries it
     lwork = int(_lapack("dgeqp3", a, lwork=-1)[3][0])
-    qr, piv, tau, _ = _lapack("dgeqp3", a, lwork=lwork)
+    qr, piv, _, _ = _lapack("dgeqp3", a, lwork=lwork)
     piv -= 1
-    return _PivotedQR(qr, tau, piv, int(np.count_nonzero(np.abs(np.diag(qr)) > tol)), first)
+    diag = np.abs(np.diag(qr))
+    return _PivotedQR(qr, piv, int(np.count_nonzero(diag > KERNEL_RANK_TOL * diag[0])))
 
 
 @functools.cache
 def _scipy_blas_threads():
     """``scipy_openblas_get_num_threads`` and ``..._set_num_threads`` of the
-    OpenBLAS in scipy's ``scipy.libs``, by ctypes, looked up on the first
-    call (the first large certificate) and kept; () when the library or
-    either symbol is missing."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
-    for name in (n for n in names if n.startswith("libscipy_openblas") and n.endswith(".so")):
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            pass
-    return ()
+    OpenBLAS that scipy's LAPACK calls use, by ctypes: looked up through
+    scipy's LAPACK extension, whose dependencies dlsym searches, on the
+    first call (the first large certificate) and kept; () when the
+    library or either symbol is missing."""
+    try:
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return ()
 
 
 # The pin's nesting depth and the count its outermost entry found, both
@@ -416,75 +400,64 @@ def _one_scipy_blas_thread(get, put):
 
 
 def _kernel_projection(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of w onto ker(A^T), as w - Q_r Q_r^T w.
-
-    Q_r (m x rank) spans range(A), with the rank decided by
-    :func:`_pivoted_qr`, whose factor is all this holds: O(m n^2) time and
-    O(m n) memory.  Q is applied by reflectors (:func:`_project_out`) and
-    never formed.
+    """Orthogonal projection of w onto ker(A^T), by :func:`_project_out`
+    through A's factor from :func:`_pivoted_qr`: O(m n^2) time and O(m n)
+    memory, with Q never formed.
 
     On a tall block (:func:`_is_tall`), whose factor starts with BLAS-3
     dgeqrt, the factor and the projection run with scipy's OpenBLAS on
     one thread (:func:`_one_scipy_blas_thread`), and the thread count is
     restored after.  scipy bundles its own OpenBLAS beside numpy's, and a
-    pool that has just worked keeps its threads spinning for up to about
-    200 ms.  A certificate usually follows a run, whose mat-vecs leave
-    numpy's pool spinning, and scipy's threads then fight it: on 2 vCPUs
-    a 5000 x 500 projection right after numpy's A @ lam took 174 ms on
-    two threads and 135 ms on one.  One thread never wakes scipy's
-    workers, so it also leaves no spin behind for the next run.  The pin
-    costs a certificate with no BLAS work in the 200 ms before it: with
-    the spin over, the same projection took 105 ms on two threads and
-    129 ms on one.  Other blocks skip the pin, whose lookup and two calls
-    would cost a 50 x 20 certificate about a quarter of its time, and
-    make every call they made before it; square and wide blocks of
-    TALL_MIN_ENTRIES entries or more were never timed under it.  Only
-    2 vCPUs were measured: on a many-core machine one thread may be
-    slower than the contended pool.
+    pool that has just worked keeps its threads spinning for a while
+    (about 200 ms).  A certificate usually follows a run, whose mat-vecs
+    leave numpy's pool spinning, and two scipy threads then fight it,
+    while one never wakes scipy's workers and leaves no spin behind for
+    the next run.  The pin costs a certificate with no BLAS work shortly
+    before it, which two threads would factor faster.  Other blocks skip
+    the pin, whose lookup and two calls would cost a small certificate a
+    large share of its time, and make every call they made before it;
+    square and wide blocks of TALL_MIN_ENTRIES entries or more were never
+    timed under it.  The pin was measured on 2 vCPUs only: on a many-core
+    machine one thread may be slower than the contended pool.
     """
     threads = _scipy_blas_threads() if _is_tall(a) else ()
     with _one_scipy_blas_thread(*threads) if threads else contextlib.nullcontext():
-        return _project_out(_pivoted_qr(a), w)
+        return _project_out(a, _pivoted_qr(a), w)
 
 
-def _project_out(f: _PivotedQR, w: np.ndarray) -> np.ndarray:
-    """:func:`_kernel_projection` from A's factor as :func:`_pivoted_qr`
-    returns it.
+def _project_out(a: np.ndarray, f: _PivotedQR, w: np.ndarray) -> np.ndarray:
+    """w - Q_r Q_r^T w, the projection of w onto ker(A^T), from A and its
+    factor ``f`` as :func:`_pivoted_qr` returns it.
 
-    With Q2 = H_1 ... H_rank, whose first ``rank`` columns are those of
-    the whole Q2, w - Q_r Q_r^T w = Q (0_r, I) Q^T w.  On a block with one
-    stage that is :func:`_reflect_out` of w, O(m rank).  On a tall block
-    it is :func:`_reflect_out` of the leading n entries of Q1^T w, between
-    dgemqrt's 'T' and 'N' applications of Q1, O(m n) each.  One
-    re-projection keeps A^T of the result at roundoff.  An empty kernel
-    (rank == m) gives exact zeros, and rank 0 (A = 0) gives w.
+    With B = Q_r R11, Q_r Q_r^T = B R11^-1 R11^-T B^T: each pass takes
+    A^T w at the pivot entries, solves with R11^T and then R11 (dtrtrs),
+    and subtracts A z for z the solution scattered onto the pivots:
+    O(m n) for the two mat-vecs.  The second pass re-projects the first.
+
+    Through R11 the result is accurate to about cond(R11) eps, not to
+    roundoff as Q's Householder reflectors would keep it.  With a
+    near-copy column at cond(R11) 9e9, inside the rank tolerance,
+    |A^T proj| of weights in [0, 1] reached 2e-12 at 50 x 20, 9e-11 at
+    600 x 60 and 5e-9 at 5000 x 500 (reflectors: 1e-13).  That is the
+    size of the residual the rank tolerance already leaves when it drops
+    a column just below it, and :func:`dual_certificate` refuses a
+    projection past FEAS_TOL rather than certify it.  A third pass
+    lowers it by less than 3x, so two are kept.  On well-conditioned
+    blocks the result is at roundoff.  An empty kernel (rank == m) gives
+    exact zeros, and rank 0 (A = 0) gives w.
     """
     m, rank = len(w), f.rank
     if rank == m:
         return np.zeros(m)
     if rank == 0:
         return np.array(w, dtype=float)
-    h, t = f.qr[:, :rank], f.tau[:rank]
-    proj = np.asarray(w, dtype=float)[:, None]
+    r11, cols = f.qr[:rank, :rank], f.piv[:rank]
+    proj, z = np.array(w, dtype=float), np.zeros(a.shape[1])
     for _ in range(2):
-        if f.first is None:
-            proj = _reflect_out(h, t, rank, proj)
-        else:
-            c, = _lapack("dgemqrt", *f.first, proj, "L", "T")
-            c[:len(h)] = _reflect_out(h, t, rank, c[:len(h)])
-            proj, = _lapack("dgemqrt", *f.first, c, "L", "N", overwrite_c=1)
-    return proj[:, 0]
-
-
-def _reflect_out(h: np.ndarray, t: np.ndarray, rank: int, c: np.ndarray) -> np.ndarray:
-    """H (0_rank, I) H^T c for H = H_1 ... H_rank, the reflectors ``h``
-    with scalars ``t``: two dormqr calls, O(len(c) rank)."""
-    # lwork 1 (the one column) takes dormqr's unblocked path, one reflector
-    # at a time; on a single vector the blocked path's triangular factors
-    # cost more than they save
-    c, _ = _lapack("dormqr", "L", "T", h, t, c, lwork=1)
-    c[:rank] = 0.0
-    return _lapack("dormqr", "L", "N", h, t, c, lwork=1, overwrite_c=1)[0]
+        y = _lapack("dtrtrs", r11, (a.T @ proj)[cols], trans=1)[0]
+        z[cols] = _lapack("dtrtrs", r11, y)[0]
+        proj -= a @ z
+    return proj
 
 
 @dataclass(frozen=True)
@@ -505,23 +478,17 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     projection is (numerically) in the dual cone and the conjugate's
     domain, certify the duality gap f(A lam) - inf f <= f(A lam) + f*(psi).
 
-    The projection holds one column-pivoted QR factor of A in compact
-    Householder form and applies Q by reflectors
-    (:func:`_kernel_projection`); no Q is formed: O(m n^2) time and
-    O(m n) memory.  A tall A (see :func:`_pivoted_qr`) is first reduced to
-    its n x n triangle by dgeqrt, and only that is pivoted, by dgeqp3: at
-    5000 x 500 about 0.1 s against 0.2 s for dgeqp3 on all of A, and at
-    50 x 20 the one-stage path is unchanged.  On a tall A the factor and
-    the projection run with scipy's OpenBLAS on one thread, its count
-    restored after: right after a run, on 2 vCPUs, that took the
-    5000 x 500 certificate from about 0.19 to 0.13 s, as scipy's threads
-    no longer fight numpy's spinning ones.  The gain holds only within
-    about 200 ms of numpy BLAS work; a certificate after an idle spell is
-    slower than on two threads (see :func:`_kernel_projection`, with its
-    many-core caveat).  The thread count is process-wide: concurrent
-    certificates share one pin and restore the count they found, and
-    while a pin is held every scipy BLAS call in the process runs on one
-    thread.
+    The projection (:func:`_kernel_projection`) factors A once by a
+    column-pivoted QR and projects through its pivot columns and R's
+    leading triangle, with no Q formed: O(m n^2) time and O(m n) memory.
+    It is accurate to about cond(R11) eps, not to roundoff: near the rank
+    tolerance a large A can leave |A^T psi| within a small factor of
+    FEAS_TOL, and a projection past it is refused (see
+    :func:`_project_out`).
+    A tall A is factored with scipy's BLAS on one thread, a count that is
+    process-wide: while it is held every scipy BLAS call in the process
+    runs on one thread, and concurrent certificates share it and restore
+    the count they found (see :func:`_kernel_projection`).
     Projections with a coordinate below -1e-10 are rejected; tiny
     negatives are clipped to zero and the kernel residual re-checked.
     Returns None when no certificate can be extracted at this iterate.

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -320,6 +321,55 @@ def test_kernel_projection_matches_the_kernel_basis():
     assert ranks == {12, 8, 9, 4, 1}
 
 
+def _near_copy(m, n, cond, seed):
+    # column 1 is column 0 plus a step orthogonal to the other columns,
+    # sized so that cond(A), which is cond(R11) at full rank, is about cond
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.5, 0.5, size=(m, n))
+    v = rng.standard_normal(m)
+    others = np.delete(a, 1, axis=1)
+    v -= others @ np.linalg.lstsq(others, v, rcond=None)[0]
+    a[:, 1] = a[:, 0] + np.sqrt(2.0) * np.linalg.norm(a, 2) / cond * v / np.linalg.norm(v)
+    return a
+
+
+def test_projection_near_the_rank_tolerance():
+    # the projection goes through B = Q_r R11, so it is accurate to about
+    # cond(R11) eps: a near-copy column at cond(R11) 1e9 and 5e9, inside
+    # the rank tolerance, still leaves A^T of the projection far inside
+    # FEAS_TOL, on the one-stage and the two-stage factor alike
+    rng = np.random.default_rng(28)
+    for m, n in ((50, 20), (600, 60)):
+        for cond in (1e9, 5e9):
+            a = _near_copy(m, n, cond, seed=int(cond // 1e9))
+            assert cond / 2 <= np.linalg.cond(a) <= 2 * cond
+            f = structure._pivoted_qr(a)
+            r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
+            tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
+            assert f.rank == np.count_nonzero(np.abs(np.diag(r)) > tol) == n
+            assert structure._is_tall(a) == (m == 600)
+            for _ in range(3):
+                proj = structure._kernel_projection(a, rng.uniform(0.0, 1.0, size=m))
+                assert np.max(np.abs(a.T @ proj)) <= 1e-9
+    # a planted attainable 600x60 instance whose column 1 is made a
+    # near-copy of column 0 by a step orthogonal to a positive kernel
+    # vector, so it stays attainable: its certificate is still accepted
+    inst = planted(ATTAINABLE, 600, 60, 1)
+    psi = np.array(analyze(inst).witness_dual)
+    step = rng.standard_normal(inst.m)
+    step -= psi * (psi @ step) / (psi @ psi)
+    a = np.array(inst.a)
+    a[:, 1] = a[:, 0] + 3e-8 * step / np.linalg.norm(step)
+    inst = make_instance(a / np.max(np.abs(a)))
+    assert structure._pivoted_qr(inst.a).rank == inst.n
+    assert 5e8 <= np.linalg.cond(inst.a) <= 2e9
+    loss = make_loss(LOGISTIC, inst.m)
+    state = boost.run(inst, loss, boost.RunConfig(max_iters=200)).final_state
+    cert = dual_certificate(inst, loss, state)
+    assert cert is not None and cert.gap_bound >= 0.0
+    assert np.max(np.abs(inst.a.T @ cert.psi)) <= structure.FEAS_TOL
+
+
 def _full_q_projection(a, w):
     basis = kernel_basis(make_instance(a))
     return basis @ (basis.T @ w)
@@ -356,13 +406,12 @@ def test_dual_certificate_never_forms_an_m_by_m_array():
     finally:
         tracemalloc.stop()
     assert peak < 3000 * 3000 * 8 / 4
-    # the one m x n Householder factor, and no thin Q beside it
+    # the one m x n copy that dgeqrt factors, and no thin Q beside it
     assert peak < 1.5 * inst.m * inst.n * 8
 
 
 def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
-    # a wrong-length vector would reach dormqr, which does not check it
-    # against the factor's rows
+    # a wrong-length vector must be refused before the factor is paid for
     inst = fixtures.random_instance(np.random.default_rng(3), 8, 3)
     loss = make_loss(LOGISTIC, inst.m)
     state = _state(inst, loss, np.zeros(inst.n))
@@ -376,12 +425,12 @@ def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
     assert factors == []
 
 
-@pytest.mark.parametrize("name", ["dgeqp3", "dtrtrs", "dormqr", "dgeqrt", "dgemqrt"])
+@pytest.mark.parametrize("name", ["dgeqp3", "dtrtrs", "dgeqrt"])
 def test_a_nonzero_lapack_info_raises(name, monkeypatch):
-    # an attainable analysis runs every routine its blocks' path calls but
-    # dtrtrs, which only the primal witness of a mixed one needs, and a
-    # certificate all but dtrtrs; the 3x2 fixtures take the one-stage path,
-    # the 600x60 blocks the two-stage one, which adds dgeqrt and dgemqrt
+    # an analysis and a certificate run every routine their blocks' path
+    # calls: dgeqp3 always, dtrtrs in every projection and in a mixed
+    # instance's primal witness; the 3x2 fixtures take the one-stage path,
+    # the 600x60 blocks the two-stage one, which adds dgeqrt
     real = getattr(scipy.linalg.lapack, name)
 
     def failing(*args, **kwargs):
@@ -392,15 +441,14 @@ def test_a_nonzero_lapack_info_raises(name, monkeypatch):
     regime, small = ((MIXED, fixtures.mixed_3x2) if name == "dtrtrs"
                      else (ATTAINABLE, fixtures.attainable_tilted))
     insts = [planted(regime, 600, 60, 0)]
-    if name not in ("dgeqrt", "dgemqrt"):
+    if name != "dgeqrt":
         insts.append(small())
     for inst in insts:
         with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {name} returned info=-4"):
             analyze(inst)
-        if name != "dtrtrs":
-            loss = make_loss(LOGISTIC, inst.m)
-            with pytest.raises(np.linalg.LinAlgError, match=name):
-                dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
+        loss = make_loss(LOGISTIC, inst.m)
+        with pytest.raises(np.linalg.LinAlgError, match=name):
+            dual_certificate(inst, loss, _state(inst, loss, np.zeros(inst.n)))
 
 
 def test_pivoted_qr_matches_scipy(monkeypatch):
@@ -423,10 +471,10 @@ def test_pivoted_qr_matches_scipy(monkeypatch):
     deficient = 0
     for inst in cases:
         a, rows = inst.a, []
-        f, tau, piv, rank, first = structure._pivoted_qr(a)
+        f, piv, rank = structure._pivoted_qr(a)
         q, r, p = scipy.linalg.qr(a, mode="economic", pivoting=True)
         tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
-        assert first is None
+        assert not structure._is_tall(a)
         assert np.array_equal(piv, p)
         assert rank == np.count_nonzero(np.abs(np.diag(r)) > tol)
         assert np.array_equal(np.triu(f[:r.shape[0]]), r)
@@ -471,7 +519,7 @@ def test_tall_blocks_are_pivoted_on_their_triangle(monkeypatch):
         assert a.size >= structure.TALL_MIN_ENTRIES
         assert inst.m >= structure.TALL_RATIO * inst.n
         f = structure._pivoted_qr(a)
-        assert f.first is not None and f.qr.shape == (inst.n, inst.n)
+        assert f.qr.shape == (inst.n, inst.n)
         q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
         tol = structure.KERNEL_RANK_TOL * np.max(np.linalg.norm(a, axis=0))
         assert f.rank == np.count_nonzero(np.abs(np.diag(r)) > tol)
@@ -566,7 +614,7 @@ def test_large_certificates_run_on_one_scipy_blas_thread(monkeypatch):
         monkeypatch.setattr(structure, "_lapack", recording)
         assert dual_certificate(inst, loss, state) is not None
         assert get() == 2
-        assert {name for name, _ in seen} == {"dgeqrt", "dgeqp3", "dgemqrt", "dormqr"}
+        assert {name for name, _ in seen} == {"dgeqrt", "dgeqp3", "dtrtrs"}
         assert {k for _, k in seen} == {1}
         monkeypatch.setattr(structure, "_lapack", failing)
         with pytest.raises(np.linalg.LinAlgError, match="dgeqrt"):
@@ -593,7 +641,7 @@ def test_small_certificates_skip_the_blas_pin(monkeypatch):
     for m, n in ((200, 200), (120, 300), (300, 160)):
         a = rng.uniform(-1, 1, (m, n))
         assert a.size >= structure.TALL_MIN_ENTRIES
-        assert not structure._is_tall(a) and structure._pivoted_qr(a).first is None
+        assert not structure._is_tall(a) and structure._pivoted_qr(a).qr.shape == (m, n)
         structure._kernel_projection(a, rng.uniform(0, 1, m))
 
 
@@ -882,6 +930,21 @@ def test_verify_witness_rejects_corrupted_witnesses():
         verify_witness(inst, core0, psi=psi + np.array([1e-3, 0.0, 0.0, 0.0]))
     with pytest.raises(InvariantViolationError, match="psi > 0 on the core"):
         verify_witness(inst, core0 + [3], psi=psi)
+
+
+def test_verify_witness_checks_the_core_ids():
+    # numpy would read -2 as row 1 and booleans as a mask, and 3 is past
+    # the last row: each is refused by name, not taken or left to an
+    # IndexError
+    inst = fixtures.mixed_3x2()
+    rep = analyze(inst)
+    lam, psi = np.array(rep.witness_primal), np.array(rep.witness_dual)
+    verify_witness(inst, np.array([0, 1]), lam=lam, psi=psi)
+    for core0, named in [([0, -2], "-2"), ([0, 3], "3"), ([True, True, False], "True, True, False"),
+                         ([0.0, 1.0], "0.0, 1.0")]:
+        for witness in ({"lam": lam}, {"psi": psi}):
+            with pytest.raises(ValueError, match=rf"integers in 0\.\.2; got {re.escape(named)}$"):
+                verify_witness(inst, core0, **witness)
 
 
 @pytest.mark.parametrize("rows, regime, core", [
