@@ -61,10 +61,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    inst = read_instance(args.instance)
-    loss = make_loss(args.loss, inst.m)
     if (args.lam is None) == (args.trace is None):
         raise ValueError("certify needs exactly one of --lam or --trace")
+    inst = read_instance(args.instance)
+    loss = make_loss(args.loss, inst.m)
     if args.lam is not None:
         bad = ValueError(f"--lam needs {inst.n} comma-separated finite values")
         try:
@@ -74,7 +74,7 @@ def cmd_certify(args) -> int:
         if lam.size != inst.n or not np.all(np.isfinite(lam)):
             raise bad
     else:
-        with open(args.trace) as fh:
+        with open(args.trace, newline="") as fh:
             reader = csv.DictReader(fh)
             missing = [k for k in ("j", "sign", "alpha") if k not in (reader.fieldnames or ())]
             if missing:

@@ -19,6 +19,12 @@ booleans, all rows as long as the first) and kept as a small float64
 array until the one column-major matrix is filled from them.  The whole
 text and the whole matrix as Python floats are never held, so a read's
 peak is about twice the float64 matrix plus one chunk and one row.
+
+A row is decoded by orjson, whose correctly rounded number reader is
+several times faster than the stdlib's and gives the same doubles.  Keys
+and the other values, and the few rows orjson refuses, go through the
+stdlib decoder, so every file reads, or is rejected, as it would be by
+the stdlib alone.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 
 class InstanceValidationError(ValueError):
@@ -190,7 +197,15 @@ class _Stream:
 
 
 def _rows(stream: _Stream) -> list:
-    """The rows of ``entries``, each a float64 array, decoded one at a time."""
+    """The rows of ``entries``, each a float64 array, decoded one at a time.
+
+    A row is decoded by orjson from its start to the first "]".  orjson
+    refuses some rows that the stdlib decoder reads: NaN, Infinity,
+    -Infinity and numbers past the double range, which the checks below
+    and ``_validated_matrix`` then name.  It also refuses a row that is
+    not one flat list ending at that "]" (a nested list, a string holding
+    "]", malformed text).  Such a row is decoded again by ``stream.value``,
+    so its value or its error is the stdlib's."""
     stream.expect("[")
     rows = []
     if stream.peek() == "]":
@@ -200,9 +215,15 @@ def _rows(stream: _Stream) -> list:
         i = len(rows)
         # a row of numbers ends at the first "]": with that in the buffer,
         # a row is decoded once, not once more for each chunk it spans
-        while stream.buf.find("]", stream.pos) < 0 and stream.more():
+        while (end := stream.buf.find("]", stream.pos)) < 0 and stream.more():
             pass
-        row = stream.value()
+        try:
+            # with no "]" left, end + 1 == 0 and the text is empty
+            row = orjson.loads(stream.buf[stream.pos:end + 1])
+        except orjson.JSONDecodeError:
+            row = stream.value()
+        else:
+            stream.pos = end + 1
         if type(row) is not list:
             raise _malformed(f"row {i} is not a list, got {type(row).__name__}")
         n = len(rows[0]) if rows else len(row)

@@ -155,6 +155,10 @@ def test_certify_flag_validation(tmp_path, capsys):
     code, _, err = _run(capsys, "certify", str(path), "--lam", "1,1",
                         "--trace", "t.csv")
     assert code == 1 and "error:" in err
+    # the flags are checked before the instance is read
+    for flags in ((), ("--lam", "1,1", "--trace", "t.csv")):
+        code, _, err = _run(capsys, "certify", str(tmp_path / "missing.json"), *flags)
+        assert code == 1 and err == "error: certify needs exactly one of --lam or --trace\n"
     code, _, err = _run(capsys, "certify", str(path), "--lam", "1")
     assert code == 1 and "error:" in err  # wrong arity
     for lam in ("nan,1", "1,inf", "x,1"):

@@ -17,6 +17,7 @@ from boostcd.instance import (
     BoostInstance,
     InstanceValidationError,
     _load,
+    _Stream,
     atomic_write_text,
     from_json,
     make_instance,
@@ -289,6 +290,72 @@ def test_chunked_read_rejects_every_proper_prefix(step):
 def test_chunked_read_rejects_trailing_data_and_entries_that_are_not_numbers(text, step):
     with pytest.raises(ValueError, match="malformed instance JSON"):
         _load(_Trickle(text, step))
+
+
+_INVALID = "entries must be finite and in [-1, 1]; offending (row, col), 0-based: "
+_INT30 = "1" * 30
+
+
+# Rows that orjson refuses or reads otherwise than the stdlib decoder (NaN,
+# infinities, numbers past the double range, text that is not one flat list
+# up to the first "]"), and rows at the edges of what both read.  Each must
+# give the stdlib decoder's outcome: the same bytes or the same error.
+AWKWARD_ROWS = {
+    "nan": ("[NaN, 0.5]", (InstanceValidationError, _INVALID + "(0,0)=nan")),
+    "inf": ("[Infinity, 0.5]", (InstanceValidationError, _INVALID + "(0,0)=inf")),
+    "-inf": ("[-Infinity, 0.5]", (InstanceValidationError, _INVALID + "(0,0)=-inf")),
+    "1e400": ("[1e400, 0.5]", (InstanceValidationError, _INVALID + "(0,0)=inf")),
+    "int400": (f"[{'1' * 400}, 0.5]",
+               (ValueError, "malformed instance JSON: row 0 has an integer too large for a float")),
+    "nested": ("[[0.5], 0.5]", (ValueError, "malformed instance JSON: "
+                                "row 0 has an entry that is not a number: [0.5]")),
+    "bracket-string": ('["x]", 0.5]', (ValueError, "malformed instance JSON: "
+                                       "row 0 has an entry that is not a number: 'x]'")),
+    "null": ("[null, 0.5]", (ValueError, "malformed instance JSON: "
+                             "row 0 has an entry that is not a number: None")),
+    "true": ("[true, 0.5]", (ValueError, "malformed instance JSON: "
+                             "row 0 has an entry that is not a number: True")),
+    "subnormal": ("[5e-324, -0.0]", [float("5e-324"), float("-0.0")]),
+    "underflow-uint64": ("[1e-400, 12345678901234567890]", (
+        InstanceValidationError, _INVALID + f"(0,1)={float(12345678901234567890)!r}")),
+    "int30": (f"[{_INT30}, 0.5]",
+              (InstanceValidationError, _INVALID + f"(0,0)={float(int(_INT30))!r}")),
+}
+
+
+@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("row, outcome", AWKWARD_ROWS.values(), ids=AWKWARD_ROWS)
+def test_awkward_rows_read_or_fail_as_the_stdlib_decoder_reads_them(row, outcome, step):
+    # a plain row follows, read after the awkward one
+    text = f'{{"m": 2, "n": 2, "entries": [{row}, [0.25, -0.5]]}}'
+    if isinstance(outcome, list):
+        a = _load(_Trickle(text, step)).a
+        assert a.tobytes() == np.array([outcome, [0.25, -0.5]], order="F").tobytes()
+        return
+    exc_type, message = outcome
+    with pytest.raises(exc_type) as err:
+        _load(_Trickle(text, step))
+    assert type(err.value) is exc_type
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("step", STEPS + (1 << 16,))
+def test_well_formed_rows_never_reach_the_stdlib_decoder(step, monkeypatch):
+    # only the three keys and the values of "m" and "n" are decoded by
+    # _Stream.value, however many rows there are
+    calls = []
+    value = _Stream.value
+
+    def counted(self):
+        calls.append(1)
+        return value(self)
+
+    monkeypatch.setattr(_Stream, "value", counted)
+    inst = fixtures.random_instance(np.random.default_rng(7), 40, 6)
+    for text in (to_json(inst), _one_line(inst.a)):
+        calls.clear()
+        assert _load(_Trickle(text, step)).a.tobytes() == inst.a.tobytes()
+        assert len(calls) == 5
 
 
 def test_read_instance_peak_memory_is_about_twice_the_matrix(tmp_path):
