@@ -1,5 +1,13 @@
 """Boosting as l1 steepest-descent coordinate descent, with the
-primal-dual structure theory that explains its convergence regimes."""
+primal-dual structure theory that explains its convergence regimes.
+
+The descent engine (``boost``, ``linesearch``, ``losses``, ``instance``)
+needs numpy alone.  The structure analysis (``structure`` on the LP
+solver in ``lp``) needs scipy's LAPACK, so its names are resolved on
+first use: ``import boostcd`` loads no scipy module, and the first of
+``analyze``, ``dual_certificate`` and the other structure names that is
+looked up imports :mod:`boostcd.structure`.
+"""
 
 from .boost import (
     ApproxSelector,
@@ -28,15 +36,19 @@ from .losses import (
     loss_grad,
     make_loss,
 )
-from .structure import (
-    DualCertificate,
-    StructureReport,
-    analyze,
-    decompose,
-    dual_certificate,
-    gamma_classical,
-    hard_core,
-)
+
+_STRUCTURE_NAMES = frozenset({
+    "DualCertificate", "StructureReport", "analyze", "decompose",
+    "dual_certificate", "gamma_classical", "hard_core",
+})
+
+
+def __getattr__(name):
+    if name in _STRUCTURE_NAMES:
+        from . import structure
+        return getattr(structure, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

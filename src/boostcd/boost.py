@@ -8,14 +8,17 @@ the gradient sup-norm falls below tolerance, an optional target
 objective is reached, or the iteration cap is hit.
 
 A step updates the margins A @ lam in O(m), from the ones its line
-search already evaluated, and runs the unchecked loss kernels on them;
-it checks only the scalar grad_inf (above grad_tol, and finite: NaN or
-inf exactly when a gradient entry is), then picks the coordinate by
-_select, with or without a selector.  One rule in boost_step rebuilds
-the state from A @ lam, checking margins and risk are finite and the
-running margins did not drift: every REFRESH_EVERY steps, and where a
-stopping rule holds.  Only _state_at takes a lam from outside, with the
-same finiteness checks.
+search already evaluated.  The search's last evaluation is at those
+margins whenever it is at the accepted step, and then the new state
+takes its weights (and, after a Wolfe search, its objective) from that
+evaluation instead of running the unchecked loss kernels again; the two
+agree bit for bit.  A step checks only the scalar grad_inf (above
+grad_tol, and finite: NaN or inf exactly when a gradient entry is),
+then picks the coordinate by _select, with or without a selector.  One
+rule in boost_step rebuilds the state from A @ lam, checking margins
+and risk are finite and the running margins did not drift: every
+REFRESH_EVERY steps, and where a stopping rule holds.  Only _state_at
+takes a lam from outside, with the same finiteness checks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import linesearch
 from .instance import BoostInstance
 from .linesearch import StepResult
-from .losses import LossSpec, RiskFunction, _g, _gp
+from .losses import LOGISTIC, LossSpec, RiskFunction, _g, _gp, _logistic_gp_of_neg
 
 GRADIENT_BELOW_TOL = "gradient_below_tol"
 MAX_ITERS = "max_iters"
@@ -118,15 +121,21 @@ class IterateState:
 
 
 def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
-                margins: np.ndarray, t: int) -> IterateState:
-    """The state at ``lam`` whose margins are ``margins``, by the unchecked
-    loss kernels; takes ownership of both arrays."""
-    weights = _gp(rf.loss.kind, margins)
+                margins: np.ndarray, t: int, weights: Optional[np.ndarray] = None,
+                objective: Optional[float] = None) -> IterateState:
+    """The state at ``lam`` whose margins are ``margins``; takes ownership
+    of the arrays.  ``weights`` and ``objective``, when given, must be
+    g'(margins) and the risk at them as the unchecked loss kernels give
+    them; those not given are computed by the kernels."""
+    kind = rf.loss.kind
+    if weights is None:
+        weights = _gp(kind, margins)
+    if objective is None:
+        objective = float(np.add.reduce(_g(kind, margins)))
     grad = inst.a.T @ weights
     for arr in (lam, margins, weights, grad):
         arr.flags.writeable = False
-    return IterateState(lam, margins, float(np.add.reduce(_g(rf.loss.kind, margins))),
-                        weights, grad, _norm_inf(grad), int(t))
+    return IterateState(lam, margins, objective, weights, grad, _norm_inf(grad), int(t))
 
 
 def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
@@ -194,9 +203,12 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     sup-norm above cfg.grad_tol).
 
     The new margins are ``state.margins + (sign * alpha) * a[:, j]``,
-    the ones the line search evaluated at its step, and the objective and
-    weights come from them; the gradient A.T @ weights is recomputed in
-    full, since selection needs all of it.  On every REFRESH_EVERY-th
+    the ones the line search evaluated at its step.  When the search's
+    last derivative evaluation was at the accepted step, the new weights
+    are the ones it computed, and after a Wolfe search, whose last value
+    evaluation is there too, so is the objective; otherwise they are
+    computed from the margins.  The gradient A.T @ weights is recomputed
+    in full, since selection needs all of it.  On every REFRESH_EVERY-th
     iterate, and on one where a stopping rule of ``cfg`` holds, the state
     is rebuilt from A @ lam instead; running margins that drifted from it
     raise MarginDriftError."""
@@ -211,45 +223,59 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     base = state.margins
     s = float(sign)
     slope0 = float(sign * state.grad[j])
-    # No iterate nears exp overflow (f <= f(0) = m bounds every margin by
-    # ln m); a Wolfe trial point past it gives +inf and fails the decrease test.
     kind = rf.loss.kind
+    # (alpha, value) and (alpha, weights) of the last evaluations
+    last_phi = last_dphi = (None, None)
 
     def phi(alpha):  # at the trial margins base + (s * alpha) * col, in one buffer
+        nonlocal last_phi
         x = col * (s * alpha)
         x += base
-        return float(np.add.reduce(_g(kind, x)))
+        last_phi = alpha, float(np.add.reduce(_g(kind, x)))
+        return last_phi[1]
 
     def dphi(alpha):
-        x = col * (s * alpha)
-        x += base
-        return s * float(col @ _gp(kind, x))
+        nonlocal last_dphi
+        if kind == LOGISTIC:  # the trial margins negated, bit for bit
+            w = col * (-s * alpha)
+            w -= base
+            _logistic_gp_of_neg(w)
+        else:
+            w = col * (s * alpha)
+            w += base
+            np.exp(w, out=w)
+        last_dphi = alpha, w
+        return s * float(col @ w)
 
-    if cfg.line_search == linesearch.WOLFE:
-        res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
-    elif cfg.line_search == linesearch.CLOSED_FORM:
-        if not np.isfinite(rf.loss.eta):
-            raise ValueError(
-                "closed-form steps unavailable: the curvature constant "
-                "overflowed for this sample size; use the wolfe search"
-            )
-        # ||grad||_inf / (eta f): a safe step while g'' <= eta g on the level set
-        res = StepResult(state.grad_inf / (rf.loss.eta * state.objective), 0)
-    else:
-        res = linesearch.exact_search(dphi, dphi0=slope0)
+    # No iterate nears exp overflow (f <= f(0) = m bounds every margin by
+    # ln m).  A Wolfe trial point past it gives +inf and fails the decrease
+    # test, and a logistic weight whose e^-x overflows is 0, its limit.
+    with np.errstate(over="ignore"):
+        if cfg.line_search == linesearch.WOLFE:
+            res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
+        elif cfg.line_search == linesearch.CLOSED_FORM:
+            # ||grad||_inf / (eta f): a safe step since g'' <= eta g
+            res = StepResult(state.grad_inf / (rf.loss.eta * state.objective), 0)
+        else:
+            res = linesearch.exact_search(dphi, dphi0=slope0)
 
+    alpha = res.alpha
     lam = np.array(state.lam)
-    lam[j] += s * res.alpha
-    margins = base + (s * res.alpha) * col
+    lam[j] += s * alpha
+    margins = base + (s * alpha) * col
     t = state.t + 1
-    new_state = _state_from(inst, rf, lam, margins, t) if t % REFRESH_EVERY else None
+    new_state = None
+    if t % REFRESH_EVERY:
+        new_state = _state_from(inst, rf, lam, margins, t,
+                                weights=last_dphi[1] if last_dphi[0] == alpha else None,
+                                objective=last_phi[1] if last_phi[0] == alpha else None)
     if new_state is None or _stop_status(new_state, cfg) is not None:
         new_state = _state_at(inst, rf, lam, t)
         drift = _norm_inf(margins - new_state.margins)
         if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(new_state.margins)):
             raise MarginDriftError(
                 f"running margins drifted {drift!r} from A @ lam at iteration {t}")
-    return StepOutcome(new_state, j, sign, float(res.alpha), res.evals)
+    return StepOutcome(new_state, j, sign, float(alpha), res.evals)
 
 
 @dataclass(frozen=True)

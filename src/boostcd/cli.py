@@ -21,9 +21,9 @@ import sys
 
 import numpy as np
 
-from . import boost, fixtures, structure
+from . import boost, fixtures
 from .boost import RunConfig, Trace, lam_from_steps, run
-from .instance import atomic_write_text, read_instance, to_json
+from .instance import REGIMES, WEAK_LEARNABLE, atomic_write_text, read_instance, to_json
 from .linesearch import C1, C2
 from .losses import LOGISTIC, KINDS, make_loss, RiskFunction
 
@@ -54,6 +54,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import structure  # loads scipy: only the structure commands pay for it
+
     inst = read_instance(args.instance)
     report = structure.analyze(inst)
     _emit(report.to_json(), args.out)
@@ -61,6 +63,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import structure
+
     if (args.lam is None) == (args.trace is None):
         raise ValueError("certify needs exactly one of --lam or --trace")
     inst = read_instance(args.instance)
@@ -146,6 +150,8 @@ def _series(trace: Trace):
 
 
 def _rates_weak_learnable():
+    from . import structure
+
     inst = fixtures.weaklearn_3x3()
     gamma = structure.gamma_classical(inst)
     loss = make_loss("exp", inst.m)
@@ -297,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a fixture or random instance")
     p_gen.add_argument("name", help="fixture name, or 'random'")
-    p_gen.add_argument("--regime", default=structure.WEAK_LEARNABLE,
-                       choices=structure.REGIMES)
+    p_gen.add_argument("--regime", default=WEAK_LEARNABLE, choices=REGIMES)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--n", type=int, default=None)

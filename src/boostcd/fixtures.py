@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from . import structure
-from .instance import BoostInstance, make_instance
+from .instance import REGIMES, BoostInstance, make_instance
 from .losses import LN2
 
 MAX_TRIES = 2000
@@ -122,8 +121,10 @@ def random_by_regime(regime: str, seed: int, m: int | None = None,
     core, as :func:`boostcd.structure.analyze` does.  Gives up after
     MAX_TRIES draws.
     """
-    if regime not in structure.REGIMES:
+    if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
+    from . import structure
+
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         mm = int(m) if m is not None else int(rng.integers(2, 6))

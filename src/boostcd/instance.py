@@ -39,6 +39,14 @@ import numpy as np
 import orjson
 
 
+# The convergence regimes an instance can be in; :mod:`boostcd.structure`
+# decides which, and the generators ask for one by name.
+WEAK_LEARNABLE = "weak_learnable"
+ATTAINABLE = "attainable"
+MIXED = "mixed"
+REGIMES = (WEAK_LEARNABLE, ATTAINABLE, MIXED)
+
+
 class InstanceValidationError(ValueError):
     """Entries outside [-1, 1] or non-finite; ``offenders`` lists (i, j)."""
 
@@ -135,6 +143,9 @@ CHUNK_CHARS = 1 << 16
 _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
 _NUMBER_TYPES = {float, int}
+# The first characters of the JSON values that are not numbers or lists; a
+# list inside a row holds the row's first "]", so orjson refuses that row
+_NON_NUMBER_STARTS = 'tfn"{'
 
 
 def _malformed(message: str) -> ValueError:
@@ -205,7 +216,9 @@ def _rows(stream: _Stream) -> list:
     and ``_validated_matrix`` then name.  It also refuses a row that is
     not one flat list ending at that "]" (a nested list, a string holding
     "]", malformed text).  Such a row is decoded again by ``stream.value``,
-    so its value or its error is the stdlib's."""
+    so its value or its error is the stdlib's.  Each entry's type is
+    checked only on a row the stdlib decoded, or whose text holds a
+    character that starts a value other than a number."""
     stream.expect("[")
     rows = []
     if stream.peek() == "]":
@@ -217,20 +230,25 @@ def _rows(stream: _Stream) -> list:
         # a row is decoded once, not once more for each chunk it spans
         while (end := stream.buf.find("]", stream.pos)) < 0 and stream.more():
             pass
+        # with no "]" left, end + 1 == 0 and the text is empty
+        text = stream.buf[stream.pos:end + 1]
         try:
-            # with no "]" left, end + 1 == 0 and the text is empty
-            row = orjson.loads(stream.buf[stream.pos:end + 1])
+            row = orjson.loads(text)
         except orjson.JSONDecodeError:
             row = stream.value()
+            numbers_only = False
         else:
             stream.pos = end + 1
+            # a row orjson read holds numbers only unless its text holds
+            # the first character of some other value
+            numbers_only = not any(c in text for c in _NON_NUMBER_STARTS)
         if type(row) is not list:
             raise _malformed(f"row {i} is not a list, got {type(row).__name__}")
         n = len(rows[0]) if rows else len(row)
         if len(row) != n or not row:
             raise _malformed(f"row {i} has {len(row)} entries, expected {n or 'at least 1'}")
         # bool is an int subclass, so the types are compared, not isinstance'd
-        if not set(map(type, row)) <= _NUMBER_TYPES:
+        if not numbers_only and not set(map(type, row)) <= _NUMBER_TYPES:
             bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
             raise _malformed(f"row {i} has an entry that is not a number: {bad!r}")
         try:

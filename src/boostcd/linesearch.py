@@ -10,8 +10,7 @@ Wolfe search phi(0)) by its caller:
                      used by the convergence experiments.
 
 The third step rule, CLOSED_FORM, needs no search: boost_step takes the
-explicit step ||grad||_inf / (eta f) from the level-set curvature
-constant eta.
+explicit step ||grad||_inf / (eta f) from the curvature constant eta.
 """
 
 from __future__ import annotations

@@ -7,14 +7,21 @@ risk is the coordinate-wise sum f(x) = sum_i g(x_i); its Fenchel
 conjugate f*(psi) = sum_i g*(psi_i) prices nonnegative example
 weightings and drives the dual certificates in :mod:`boostcd.structure`.
 
-Both losses additionally satisfy the level-set inequality that the
-step-size rules rely on: g'' <= eta * g, valid on the initial sublevel
-set {x : g(x) <= m * g(0)}.  For the exponential loss eta = 1 exactly;
-for the logistic loss it grows with the sample size m and is
-deliberately conservative.  No step rule evaluates g'' itself, so it
-stays internal (``_gpp``).  RiskFunction is the checked entry for
-outside margins.  ``_g`` and ``_gp`` take float64 arrays and convert
-nothing: the descent loop runs them on margins it built itself.
+Both losses additionally satisfy the curvature inequality that the
+closed-form step relies on: g'' <= eta * g with eta = 1, on all of R.
+No step rule evaluates g'' itself, so it stays internal (``_gpp``).
+RiskFunction is the checked entry for outside margins.  ``_g`` and
+``_gp`` take float64 arrays and convert nothing: the descent loop runs
+them on margins it built itself.
+
+The kernels are numpy alone: exp, softplus ln(1 + e^x), and the
+logistic g'(x) = 1 / (1 + e^-x), which ``_logistic_gp_of_neg`` forms in
+place from -x, in a buffer its caller owns.  Where e^-x overflows
+(x < -709.78) that gives 0 for a true value below 1e-308, so its callers
+ignore overflow.  ``_gp`` calls it on a negated copy of its argument;
+the line searches of :func:`boostcd.boost.boost_step` call it on -x
+formed from the ray, so that the weights of the step they accept are
+those ``_gp`` gives at its margins, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, xlogy
 
 EXPONENTIAL = "exp"
 LOGISTIC = "logistic"
@@ -34,7 +40,7 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss kind together with its sample-size-dependent constant."""
+    """A loss kind, its curvature constant and the sample size it is for."""
 
     kind: str
     eta: float
@@ -42,26 +48,20 @@ class LossSpec:
 
 
 def make_loss(kind: str, m: int) -> LossSpec:
-    """The loss with its level-set curvature constant eta for a sample of
-    size m: eta bounds g''/g on the initial sublevel set.
+    """The loss for a sample of size m with its curvature constant eta,
+    which bounds g''/g on all of R, so on every sublevel set.
 
-    The exponential loss is a fixed point of differentiation, so eta = 1.
-    For the logistic loss the initial level set reaches margins up to
-    m*ln 2 and eta = 2^m / (m ln 2).  When 2^m overflows a double eta is
-    +inf, which leaves closed-form steps unusable.
+    eta = 1 for both losses.  The exponential loss is a fixed point of
+    differentiation.  For the logistic loss, with u = e^x,
+    g'' = u / (1+u)^2 <= u / (1+u) <= ln(1+u) = g, and g''/g tends to 1
+    as x -> -inf, so no smaller constant holds.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
     m = int(m)
     if m < 1:
         raise ValueError("sample size m must be >= 1")
-    if kind == EXPONENTIAL:
-        return LossSpec(kind, 1.0, m)
-    try:
-        eta = 2.0 ** m / (m * LN2)
-    except OverflowError:
-        eta = math.inf
-    return LossSpec(kind, eta, m)
+    return LossSpec(kind, 1.0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +78,33 @@ def _g(kind, x):
     return _softplus(x)
 
 
+def _logistic_gp_of_neg(u):
+    """The logistic g'(-u) = 1 / (1 + e^u), in place in the float64 array
+    ``u``, which it returns.  Where e^u overflows (u > 709.78) the result
+    is 0; the caller decides how overflow is reported."""
+    np.exp(u, out=u)
+    u += 1.0
+    return np.divide(1.0, u, out=u)
+
+
 def _gp(kind, x):
+    """g'(x) in a new array; ``x`` is not written."""
     if kind == EXPONENTIAL:
         return np.exp(x)
-    return expit(x)
+    with np.errstate(over="ignore"):
+        return _logistic_gp_of_neg(np.negative(x, out=np.empty(np.shape(x))))
 
 
 def _gpp(kind, x):
     if kind == EXPONENTIAL:
         return np.exp(x)
-    s = expit(np.asarray(x, dtype=float))
+    s = _gp(kind, np.asarray(x, dtype=float))
     return s * (1.0 - s)
+
+
+def _xlogx(p):
+    # p ln p, and 0 at p = 0
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
 
 
 def _gstar(kind, phi):
@@ -102,11 +118,11 @@ def _gstar(kind, phi):
     if kind == EXPONENTIAL:
         inside = phi >= 0
         safe = np.where(inside, phi, 0.0)
-        val = xlogy(safe, safe) - safe
+        val = _xlogx(safe) - safe
     else:
         inside = (phi >= 0) & (phi <= 1)
         safe = np.where(inside, phi, 0.5)
-        val = xlogy(safe, safe) + xlogy(1.0 - safe, 1.0 - safe)
+        val = _xlogx(safe) + _xlogx(1.0 - safe)
     return np.where(inside, val, np.inf)
 
 
@@ -151,7 +167,7 @@ def conj_grad(loss: LossSpec, phi: float) -> float:
         )
     if loss.kind == EXPONENTIAL:
         return math.log(phi)
-    return float(logit(phi))
+    return math.log(phi) - math.log1p(-phi)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ import numpy as np
 import scipy.linalg
 
 from .boost import IterateState
-from .instance import BoostInstance
+# the regime names are defined with the instances, which need no scipy
+from .instance import ATTAINABLE, MIXED, REGIMES, WEAK_LEARNABLE, BoostInstance
 from .losses import LossSpec, RiskFunction
 from .lp import solve
 
@@ -79,11 +80,6 @@ TALL_MIN_ENTRIES = 1 << 15
 # entry of A has magnitude <= 1, so ||lam||_1 bounds each |a_i . lam| and
 # ||psi||_1 bounds each |(A^T psi)_j|.
 WITNESS_TOL = 1e-7
-
-WEAK_LEARNABLE = "weak_learnable"
-ATTAINABLE = "attainable"
-MIXED = "mixed"
-REGIMES = (WEAK_LEARNABLE, ATTAINABLE, MIXED)
 
 
 class InvariantViolationError(RuntimeError):

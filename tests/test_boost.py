@@ -3,6 +3,7 @@ per-step guarantees, and trace round-trips."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from boostcd.boost import (
     run,
 )
 from boostcd.instance import make_instance
-from boostcd.losses import LOGISTIC, RiskFunction, make_loss
+from boostcd.linesearch import RayUnboundedError
+from boostcd.losses import LOGISTIC, RiskFunction, _g, _gp, make_loss
 from references import planted
 
 
@@ -200,25 +202,32 @@ def test_lam_from_steps_rejects_malformed_steps(bad):
 
 
 def test_first_closed_form_step_on_mixed_instance():
-    # grad_inf 1/2, f = 3 ln 2 and the logistic eta for m = 3, 8 / (3 ln 2):
-    # the step ||grad||_inf / (eta f) is 1/16
+    # grad_inf 1/2, f = 3 ln 2 and the logistic eta = 1: the step
+    # ||grad||_inf / (eta f) is 1 / (6 ln 2)
     inst = fixtures.mixed_3x2()
     rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    out = boost_step(inst, rf, initial_state(inst, rf), RunConfig(line_search="closed"))
+    start = initial_state(inst, rf)
+    out = boost_step(inst, rf, start, RunConfig(line_search="closed"))
     assert (out.j, out.sign, out.evals) == (0, 1, 0)
-    assert out.alpha == 1.0 / 16.0
+    assert start.grad_inf == 0.5
+    assert out.alpha == 0.5 / start.objective
+    assert out.alpha == pytest.approx(1.0 / (6.0 * math.log(2)), rel=1e-15)
     assert out.state.objective < 3 * math.log(2)
 
 
-def test_closed_form_rejects_overflowed_curvature():
-    # at m = 1100 the logistic curvature constant overflows to inf and
-    # closed-form steps would be zero; the step must refuse instead
+def test_closed_form_descends_at_large_m():
+    # at m = 1100 the logistic eta is still 1, where the earlier
+    # 2^m / (m ln 2) overflowed: every closed-form step descends, the
+    # first by ||grad||_inf / f = (m / 2) / (m ln 2)
     inst = make_instance(np.full((1100, 1), -1.0))
     loss = make_loss(LOGISTIC, inst.m)
-    assert not np.isfinite(loss.eta)
-    rf = RiskFunction(loss, inst.m)
-    with pytest.raises(ValueError, match="closed-form"):
-        boost_step(inst, rf, initial_state(inst, rf), RunConfig(line_search="closed"))
+    assert loss.eta == 1.0
+    trace = run(inst, loss, RunConfig(line_search="closed", max_iters=30))
+    assert trace.status == MAX_ITERS
+    assert trace.records[0].alpha == pytest.approx(0.5 / math.log(2), rel=1e-14)
+    fs = trace.objectives()
+    assert np.all(np.diff(fs) < 0.0)
+    assert fs[-1] < 1e-3 * fs[0]
 
 
 def test_approx_selector_degraded_descent_guarantee():
@@ -454,3 +463,46 @@ def test_a_column_permutation_relabels_the_descent():
                 assert [r.sign for r in ref] == [r.sign for r in out]
                 for r, o in zip(ref, out):
                     assert abs(r.objective - o.objective) <= 1e-12 * r.objective
+
+
+@pytest.mark.parametrize("line_search", [boost.linesearch.WOLFE, boost.linesearch.EXACT])
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+@pytest.mark.parametrize("m, n", [(50, 20), (600, 60)])
+def test_states_reuse_the_last_search_evaluation_bit_for_bit(m, n, kind, line_search,
+                                                             monkeypatch):
+    # A state takes its weights, and after a Wolfe search its objective,
+    # from the search's last evaluation when that is at the accepted step;
+    # they equal the kernels at the state's margins bit for bit.  Every
+    # search here ends at its accepted step, so g' is computed only by
+    # the rebuild at t = REFRESH_EVERY.
+    kernel_calls = []
+
+    def counting(kind_, x):
+        kernel_calls.append(1)
+        return _gp(kind_, x)
+
+    monkeypatch.setattr(boost, "_gp", counting)
+    steps = boost.REFRESH_EVERY + 16
+    for regime in ("weak_learnable", "attainable", "mixed"):
+        inst = planted(regime, m, n, 0)
+        rf = RiskFunction(make_loss(kind, m), m)
+        cfg = RunConfig(line_search=line_search, grad_tol=0.0)
+        state = initial_state(inst, rf)
+        kernel_calls.clear()
+        for t in range(1, steps + 1):
+            state = boost_step(inst, rf, state, cfg).state
+            assert state.dual_weights.tobytes() == _gp(kind, state.margins).tobytes(), t
+            assert state.objective == float(np.add.reduce(_g(kind, state.margins))), t
+        assert len(kernel_calls) == steps // boost.REFRESH_EVERY, regime
+
+
+def test_logistic_exact_step_along_a_column_that_beats_every_row():
+    # the margins along column 0 fall without bound, so the logistic
+    # weights' e^-x overflows; the search ignores that and raises
+    inst = make_instance([[-1.0, 0.5], [-0.5, -1.0], [-1.0, 0.0]])
+    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    state = initial_state(inst, rf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RayUnboundedError):
+            boost_step(inst, rf, state, RunConfig(line_search="exact"))

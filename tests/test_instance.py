@@ -339,6 +339,21 @@ def test_awkward_rows_read_or_fail_as_the_stdlib_decoder_reads_them(row, outcome
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("value, shown", [
+    ('"0.5"', "'0.5'"), ('{"a": 1}', "{'a': 1}"), ("false", "False"),
+    ("true", "True"), ("null", "None"),
+])
+def test_non_numbers_in_rows_that_orjson_reads_are_named(value, shown):
+    # orjson reads these rows; their entries are still checked, since each
+    # row's text holds the first character of a value other than a number
+    text = f'{{"m": 2, "n": 2, "entries": [[0.25, -0.5], [0.5, {value}]]}}'
+    with pytest.raises(ValueError) as err:
+        from_json(text)
+    assert type(err.value) is ValueError
+    assert str(err.value) == ("malformed instance JSON: "
+                              f"row 1 has an entry that is not a number: {shown}")
+
+
 @pytest.mark.parametrize("step", STEPS + (1 << 16,))
 def test_well_formed_rows_never_reach_the_stdlib_decoder(step, monkeypatch):
     # only the three keys and the values of "m" and "n" are decoded by

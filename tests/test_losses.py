@@ -6,6 +6,8 @@ rather than to itself.
 """
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from boostcd.losses import (
     LOGISTIC,
     KINDS,
     RiskFunction,
+    _gp,
     _gpp,
     conj_eval,
     conj_grad,
@@ -34,15 +37,14 @@ def test_constants_exponential():
 
 
 def test_constants_logistic_small_m():
-    eta = make_loss(LOGISTIC, 3).eta
-    assert eta == pytest.approx(3.847186775703902, rel=1e-15)
-    assert not math.isinf(eta)
-    assert make_loss(LOGISTIC, 1).eta == pytest.approx(2.8853900817779268, rel=1e-15)
+    # g'' <= g on all of R, so eta = 1 whatever m
+    assert make_loss(LOGISTIC, 3).eta == 1.0
+    assert make_loss(LOGISTIC, 1).eta == 1.0
 
 
-def test_constants_logistic_overflow_capped():
-    # 2^m overflows binary64 past m = 1023
-    assert math.isinf(make_loss(LOGISTIC, 1100).eta)
+def test_constants_logistic_large_m():
+    # past m = 1023, where 2^m overflows binary64, eta is still 1
+    assert make_loss(LOGISTIC, 1100).eta == 1.0
 
 
 def test_constants_validation():
@@ -69,6 +71,22 @@ def test_scalar_derivatives_frozen():
     assert _gpp(LOGISTIC, 0.0) == 0.25
     assert _gpp(LOGISTIC, 0.5) == pytest.approx(0.2350037122015945, rel=1e-14)
     assert _gpp(EXPONENTIAL, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_logistic_derivative_kernel_is_within_2_ulp():
+    # 1 / (1 + e^-x) against a 40-digit reference, correctly rounded; past
+    # -709.78 e^-x overflows and the kernel gives 0, within 1e-308 of the
+    # true value, with no warning
+    x = np.concatenate([np.linspace(-709.78, 800.0, 8001), np.linspace(-40.0, 40.0, 8001)])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ref = np.array([float(1 / (1 + (-Decimal(v)).exp())) for v in x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gp(LOGISTIC, x)
+        below = _gp(LOGISTIC, np.linspace(-800.0, -709.79, 1001))
+    assert np.max(np.abs(got.view(np.int64) - ref.view(np.int64))) <= 2
+    assert np.all((below >= 0.0) & (below <= 1e-308))
 
 
 def test_scalar_input_validation():
@@ -175,6 +193,16 @@ def test_risk_values_and_gradient():
     assert rf_exp.value([40.0, 0.0, -3.0]) == pytest.approx(2.3538526683702e17, rel=1e-13)
     rf4 = RiskFunction(make_loss(EXPONENTIAL, 4), 4)
     assert rf4.value(np.full(4, 400.0)) == pytest.approx(4 * math.exp(400.0), rel=1e-15)
+
+
+def test_risk_gradient_leaves_its_input_unchanged():
+    # grad passes the caller's float64 array through unconverted; the
+    # kernels form g' in a buffer of their own
+    for loss in (EXP3, LOG3):
+        x = np.array([-800.0, 0.5, 3.0])
+        w = RiskFunction(loss, 3).grad(x)
+        assert x.tolist() == [-800.0, 0.5, 3.0]
+        assert w is not x and not np.shares_memory(w, x)
 
 
 def test_risk_conjugate():
