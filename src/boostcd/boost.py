@@ -33,7 +33,7 @@ import numpy as np
 from . import linesearch
 from .instance import BoostInstance
 from .linesearch import StepResult
-from .losses import LOGISTIC, LossSpec, RiskFunction, _g, _gp, _logistic_gp_of_neg
+from .losses import LossSpec, RiskFunction, _g, _gp, _gp_on_ray
 
 GRADIENT_BELOW_TOL = "gradient_below_tol"
 MAX_ITERS = "max_iters"
@@ -236,14 +236,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
 
     def dphi(alpha):
         nonlocal last_dphi
-        if kind == LOGISTIC:  # the trial margins negated, bit for bit
-            w = col * (-s * alpha)
-            w -= base
-            _logistic_gp_of_neg(w)
-        else:
-            w = col * (s * alpha)
-            w += base
-            np.exp(w, out=w)
+        w = _gp_on_ray(kind, col, s * alpha, base)
         last_dphi = alpha, w
         return s * float(col @ w)
 
@@ -254,8 +247,8 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         if cfg.line_search == linesearch.WOLFE:
             res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
         elif cfg.line_search == linesearch.CLOSED_FORM:
-            # ||grad||_inf / (eta f): a safe step since g'' <= eta g
-            res = StepResult(state.grad_inf / (rf.loss.eta * state.objective), 0)
+            # ||grad||_inf / (eta f) with eta = 1: a safe step since g'' <= g
+            res = StepResult(state.grad_inf / state.objective, 0)
         else:
             res = linesearch.exact_search(dphi, dphi0=slope0)
 

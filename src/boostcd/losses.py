@@ -9,6 +9,8 @@ weightings and drives the dual certificates in :mod:`boostcd.structure`.
 
 Both losses additionally satisfy the curvature inequality that the
 closed-form step relies on: g'' <= eta * g with eta = 1, on all of R.
+``LossSpec.eta`` carries that constant for the callers that read it;
+the closed-form step itself divides by f alone.
 No step rule evaluates g'' itself, so it stays internal (``_gpp``).
 RiskFunction is the checked entry for outside margins.  ``_g`` and
 ``_gp`` take float64 arrays and convert nothing: the descent loop runs
@@ -16,12 +18,12 @@ them on margins it built itself.
 
 The kernels are numpy alone: exp, softplus ln(1 + e^x), and the
 logistic g'(x) = 1 / (1 + e^-x), which ``_logistic_gp_of_neg`` forms in
-place from -x, in a buffer its caller owns.  Where e^-x overflows
+place from -x, in a buffer of its own.  Where e^-x overflows
 (x < -709.78) that gives 0 for a true value below 1e-308, so its callers
-ignore overflow.  ``_gp`` calls it on a negated copy of its argument;
-the line searches of :func:`boostcd.boost.boost_step` call it on -x
-formed from the ray, so that the weights of the step they accept are
-those ``_gp`` gives at its margins, bit for bit.
+ignore overflow.  ``_gp`` calls it on a negated copy of its argument.
+``_gp_on_ray`` gives g' at the trial margins base + step * col of a line
+search, forming -x from the ray so that its weights at the accepted step
+are those ``_gp`` gives at the step's margins, bit for bit.
 """
 
 from __future__ import annotations
@@ -93,6 +95,20 @@ def _gp(kind, x):
         return np.exp(x)
     with np.errstate(over="ignore"):
         return _logistic_gp_of_neg(np.negative(x, out=np.empty(np.shape(x))))
+
+
+def _gp_on_ray(kind, col, step, base):
+    """g'(base + step * col) in a new array, bit for bit ``_gp`` of the
+    margins ``base + step * col``.  The logistic kernel forms their
+    negation as ``col * (-step) - base``, which rounds to exactly that;
+    the caller ignores overflow."""
+    if kind == EXPONENTIAL:
+        w = col * step
+        w += base
+        return np.exp(w, out=w)
+    w = col * (-step)
+    w -= base
+    return _logistic_gp_of_neg(w)
 
 
 def _gpp(kind, x):

@@ -19,6 +19,7 @@ from boostcd.losses import (
     KINDS,
     RiskFunction,
     _gp,
+    _gp_on_ray,
     _gpp,
     conj_eval,
     conj_grad,
@@ -88,6 +89,20 @@ def test_logistic_derivative_kernel_is_within_2_ulp():
     assert np.max(np.abs(got.view(np.int64) - ref.view(np.int64))) <= 2
     assert np.all((below >= 0.0) & (below <= 1e-308))
 
+
+
+def test_ray_kernel_matches_the_margin_kernel_bit_for_bit():
+    # the line searches' weights at base + step * col are the ones _gp
+    # gives at those margins, down to the logistic overflow tail
+    rng = np.random.default_rng(7)
+    col = rng.choice([-1.0, 1.0], 400) * rng.uniform(0.0, 1.0, 400)
+    base = rng.uniform(-30.0, 30.0, 400)
+    for kind in KINDS:
+        for step in (0.0, 1e-3, -0.7, 3.25, -900.0, 900.0):
+            with np.errstate(over="ignore"):
+                got = _gp_on_ray(kind, col, step, base)
+                want = _gp(kind, base + step * col)
+            assert got.tobytes() == want.tobytes()
 
 def test_scalar_input_validation():
     for fn in (loss_eval, loss_grad):
