@@ -18,7 +18,7 @@ them on margins it built itself.
 
 The kernels are numpy alone: exp, softplus ln(1 + e^x), and the
 logistic g'(x) = 1 / (1 + e^-x), which ``_logistic_gp_of_neg`` forms in
-place from -x, in a buffer of its own.  Where e^-x overflows
+place from -x, in a buffer its caller owns.  Where e^-x overflows
 (x < -709.78) that gives 0 for a true value below 1e-308, so its callers
 ignore overflow.  ``_gp`` calls it on a negated copy of its argument.
 ``_gp_on_ray`` gives g' at the trial margins base + step * col of a line
