@@ -33,7 +33,7 @@ import numpy as np
 from . import linesearch
 from .instance import BoostInstance
 from .linesearch import StepResult
-from .losses import LossSpec, RiskFunction, _g, _gp, _gp_on_ray
+from .losses import LossSpec, _g, _gp, _gp_on_ray
 
 GRADIENT_BELOW_TOL = "gradient_below_tol"
 MAX_ITERS = "max_iters"
@@ -120,14 +120,14 @@ class IterateState:
     t: int
 
 
-def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
+def _state_from(inst: BoostInstance, loss: LossSpec, lam: np.ndarray,
                 margins: np.ndarray, t: int, weights: Optional[np.ndarray] = None,
                 objective: Optional[float] = None) -> IterateState:
     """The state at ``lam`` whose margins are ``margins``; takes ownership
     of the arrays.  ``weights`` and ``objective``, when given, must be
     g'(margins) and the risk at them as the unchecked loss kernels give
     them; those not given are computed by the kernels."""
-    kind = rf.loss.kind
+    kind = loss.kind
     if weights is None:
         weights = _gp(kind, margins)
     if objective is None:
@@ -138,12 +138,12 @@ def _state_from(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray,
     return IterateState(lam, margins, objective, weights, grad, _norm_inf(grad), int(t))
 
 
-def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) -> IterateState:
+def _state_at(inst: BoostInstance, loss: LossSpec, lam: np.ndarray, t: int) -> IterateState:
     """The state recomputed from A @ lam, the one entry for an outside lam:
     margins or a risk that are not finite raise ValueError."""
     lam = np.array(lam, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        state = _state_from(inst, rf, lam, inst.a @ lam, t)
+        state = _state_from(inst, loss, lam, inst.a @ lam, t)
     if not np.all(np.isfinite(state.margins)):
         raise ValueError("margins must be finite")
     if not math.isfinite(state.objective):
@@ -151,8 +151,8 @@ def _state_at(inst: BoostInstance, rf: RiskFunction, lam: np.ndarray, t: int) ->
     return state
 
 
-def initial_state(inst: BoostInstance, rf: RiskFunction) -> IterateState:
-    return _state_at(inst, rf, np.zeros(inst.n), 0)
+def initial_state(inst: BoostInstance, loss: LossSpec) -> IterateState:
+    return _state_at(inst, loss, np.zeros(inst.n), 0)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class StepOutcome(NamedTuple):
     evals: int
 
 
-def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
+def boost_step(inst: BoostInstance, loss: LossSpec, state: IterateState,
                cfg: RunConfig) -> StepOutcome:
     """One descent step.  Requires a non-stationary state (gradient
     sup-norm above cfg.grad_tol).
@@ -223,7 +223,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     base = state.margins
     s = float(sign)
     slope0 = float(sign * state.grad[j])
-    kind = rf.loss.kind
+    kind = loss.kind
     # (alpha, value) and (alpha, weights) of the last evaluations
     last_phi = last_dphi = (None, None)
 
@@ -247,7 +247,7 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
         if cfg.line_search == linesearch.WOLFE:
             res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
         elif cfg.line_search == linesearch.CLOSED_FORM:
-            # ||grad||_inf / (eta f) with eta = 1: a safe step since g'' <= g
+            # ||grad||_inf / f: a safe step since g'' <= g
             res = StepResult(state.grad_inf / state.objective, 0)
         else:
             res = linesearch.exact_search(dphi, dphi0=slope0)
@@ -259,11 +259,11 @@ def boost_step(inst: BoostInstance, rf: RiskFunction, state: IterateState,
     t = state.t + 1
     new_state = None
     if t % REFRESH_EVERY:
-        new_state = _state_from(inst, rf, lam, margins, t,
+        new_state = _state_from(inst, loss, lam, margins, t,
                                 weights=last_dphi[1] if last_dphi[0] == alpha else None,
                                 objective=last_phi[1] if last_phi[0] == alpha else None)
     if new_state is None or _stop_status(new_state, cfg) is not None:
-        new_state = _state_at(inst, rf, lam, t)
+        new_state = _state_at(inst, loss, lam, t)
         drift = _norm_inf(margins - new_state.margins)
         if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(new_state.margins)):
             raise MarginDriftError(
@@ -312,14 +312,19 @@ class Trace:
 
 
 def lam_from_steps(n: int, steps) -> np.ndarray:
-    """Rebuild lam from (j, sign, alpha) triples, e.g. parsed trace rows.
-    A step that is not a column index in 0..n-1, a sign of +-1 and a
-    finite alpha raises ValueError naming its 1-based row."""
+    """Rebuild lam from (j, sign, alpha) triples, e.g. parsed trace rows
+    (text such as "1" is parsed).  A step that is not a column index in
+    0..n-1 (a boolean or a non-integral number is none), a sign of +-1
+    and a finite alpha raises ValueError naming its 1-based row."""
     lam = np.zeros(int(n))
-    for row, (j, sign, alpha) in enumerate(steps, start=1):
+    for row, (raw_j, sign, alpha) in enumerate(steps, start=1):
         try:
-            j, sign, alpha = int(j), float(sign), float(alpha)
-        except (TypeError, ValueError) as exc:  # e.g. a missing or non-numeric field
+            if isinstance(raw_j, (bool, np.bool_)) or isinstance(sign, (bool, np.bool_)):
+                raise TypeError(f"boolean j or sign in ({raw_j!r}, {sign!r})")
+            j, sign, alpha = int(raw_j), float(sign), float(alpha)
+            if j != raw_j and not isinstance(raw_j, str):
+                raise ValueError(f"column index {raw_j!r} is not an integer")
+        except (TypeError, ValueError, OverflowError) as exc:  # e.g. a missing field or inf
             raise ValueError(f"step row {row}: {exc}") from None
         if not (0 <= j < lam.size and sign in (-1.0, 1.0) and math.isfinite(alpha)):
             raise ValueError(f"step row {row}: (j, sign, alpha) = ({j}, {sign!r}, {alpha!r}) "
@@ -337,15 +342,14 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
     holds from A @ lam, so the final state and the last record come from
     A @ lam exactly.
     """
-    rf = RiskFunction(loss, inst.m)
-    state = initial_state(inst, rf)
+    state = initial_state(inst, loss)
     f0 = state.objective
     records: List[TraceRecord] = []
     status = _stop_status(state, cfg)
     while status is None:
         grad_inf = state.grad_inf
         tic = time.perf_counter()
-        out = boost_step(inst, rf, state, cfg)
+        out = boost_step(inst, loss, state, cfg)
         state = out.state
         status = _stop_status(state, cfg)
         wall = time.perf_counter() - tic

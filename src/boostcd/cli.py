@@ -25,7 +25,7 @@ from . import boost, fixtures
 from .boost import RunConfig, Trace, lam_from_steps, run
 from .instance import REGIMES, WEAK_LEARNABLE, atomic_write_text, read_instance, to_json
 from .linesearch import C1, C2
-from .losses import LOGISTIC, KINDS, make_loss, RiskFunction
+from .losses import LOGISTIC, KINDS, make_loss
 
 SUBOPT_FLOOR = 5e-12  # below this, reference-optimum noise dominates fits
 
@@ -39,7 +39,7 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_run(args) -> int:
     inst = read_instance(args.instance)
-    loss = make_loss(args.loss, inst.m)
+    loss = make_loss(args.loss)
     trace = run(inst, loss, RunConfig(
         grad_tol=args.grad_tol, max_iters=args.iters, target_objective=args.target,
         line_search=args.line_search))
@@ -68,7 +68,7 @@ def cmd_certify(args) -> int:
     if (args.lam is None) == (args.trace is None):
         raise ValueError("certify needs exactly one of --lam or --trace")
     inst = read_instance(args.instance)
-    loss = make_loss(args.loss, inst.m)
+    loss = make_loss(args.loss)
     if args.lam is not None:
         bad = ValueError(f"--lam needs {inst.n} comma-separated finite values")
         try:
@@ -85,8 +85,7 @@ def cmd_certify(args) -> int:
                 raise ValueError(f"--trace {args.trace} has no column {', '.join(missing)}")
             rows = list(reader)
         lam = lam_from_steps(inst.n, ((r["j"], r["sign"], r["alpha"]) for r in rows))
-    rf = RiskFunction(loss, inst.m)
-    state = boost._state_at(inst, rf, lam, 0)
+    state = boost._state_at(inst, loss, lam, 0)
     cert = structure.dual_certificate(inst, loss, state)
     if cert is None:
         print("certificate unavailable")
@@ -154,7 +153,7 @@ def _rates_weak_learnable():
 
     inst = fixtures.weaklearn_3x3()
     gamma = structure.gamma_classical(inst)
-    loss = make_loss("exp", inst.m)
+    loss = make_loss("exp")
     f0 = inst.m * 1.0
     target = 1e-6
     decrease = C1 * (1.0 - C2) * gamma ** 2
@@ -184,7 +183,7 @@ def _rates_weak_learnable():
 
 def _rates_attainable(kind: str):
     inst = fixtures.attainable_slow()
-    loss = make_loss(kind, inst.m)
+    loss = make_loss(kind)
     fbar = fixtures.REFERENCE_OPTIMA[("attainable-slow", kind)]
     trace = run(inst, loss, RunConfig(max_iters=200, grad_tol=1e-12))
     ts, objectives = _series(trace)
@@ -209,7 +208,7 @@ def _rates_attainable(kind: str):
 
 def _rates_mixed():
     inst = fixtures.mixed_3x2()
-    loss = make_loss(LOGISTIC, inst.m)
+    loss = make_loss(LOGISTIC)
     fbar = fixtures.REFERENCE_OPTIMA[("mixed-3x2", "logistic")]
 
     exact = run(inst, loss, RunConfig(max_iters=200, line_search="exact"))

@@ -10,8 +10,7 @@ Wolfe search phi(0)) by its caller:
                      used by the convergence experiments.
 
 The third step rule, CLOSED_FORM, needs no search: boost_step takes the
-explicit step ||grad||_inf / f, from the curvature constant eta = 1 of
-both losses (g'' <= g).
+explicit step ||grad||_inf / f, safe since both losses have g'' <= g.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ conjugate f*(psi) = sum_i g*(psi_i) prices nonnegative example
 weightings and drives the dual certificates in :mod:`boostcd.structure`.
 
 Both losses additionally satisfy the curvature inequality that the
-closed-form step relies on: g'' <= eta * g with eta = 1, on all of R.
-``LossSpec.eta`` carries that constant for the callers that read it;
-the closed-form step itself divides by f alone.
+closed-form step relies on, g'' <= g on all of R (see :func:`make_loss`),
+so no constant of either loss depends on the sample size.
 No step rule evaluates g'' itself, so it stays internal (``_gpp``).
 RiskFunction is the checked entry for outside margins.  ``_g`` and
 ``_gp`` take float64 arrays and convert nothing: the descent loop runs
@@ -42,28 +41,23 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss kind, its curvature constant and the sample size it is for."""
+    """A loss kind: EXPONENTIAL or LOGISTIC."""
 
     kind: str
-    eta: float
-    sample_size_m: int
 
 
-def make_loss(kind: str, m: int) -> LossSpec:
-    """The loss for a sample of size m with its curvature constant eta,
-    which bounds g''/g on all of R, so on every sublevel set.
+def make_loss(kind: str, m=None) -> LossSpec:
+    """The loss of the given kind.  ``m``, a sample size, is accepted and
+    ignored: no constant of either loss depends on it.
 
-    eta = 1 for both losses.  The exponential loss is a fixed point of
-    differentiation.  For the logistic loss, with u = e^x,
+    Both losses satisfy g'' <= g on all of R.  The exponential loss is a
+    fixed point of differentiation.  For the logistic loss, with u = e^x,
     g'' = u / (1+u)^2 <= u / (1+u) <= ln(1+u) = g, and g''/g tends to 1
     as x -> -inf, so no smaller constant holds.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
-    m = int(m)
-    if m < 1:
-        raise ValueError("sample size m must be >= 1")
-    return LossSpec(kind, 1.0, m)
+    return LossSpec(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +120,17 @@ def _xlogx(p):
 def _gstar(kind, phi):
     """Fenchel conjugate g*(phi), extended-real valued (+inf off-domain).
 
-    exp:      phi ln phi - phi on [0, inf), with g*(0) = 0.
+    exp:      phi ln phi - phi on [0, inf), with g*(0) = 0, and +inf at
+              +inf and wherever phi ln phi overflows.
     logistic: phi ln phi + (1-phi) ln(1-phi) on [0, 1], zero at both ends.
     Negative (resp. out-of-unit-interval) arguments give +inf.
     """
     phi = np.asarray(phi, dtype=float)
     if kind == EXPONENTIAL:
-        inside = phi >= 0
+        inside = (phi >= 0) & (phi < np.inf)
         safe = np.where(inside, phi, 0.0)
-        val = _xlogx(safe) - safe
+        with np.errstate(over="ignore"):
+            val = _xlogx(safe) - safe
     else:
         inside = (phi >= 0) & (phi <= 1)
         safe = np.where(inside, phi, 0.5)
@@ -199,11 +195,6 @@ class RiskFunction:
     def __post_init__(self):
         if int(self.m) < 1:
             raise ValueError("m must be >= 1")
-        if self.loss.sample_size_m != self.m:
-            raise ValueError(
-                f"loss constants were built for m={self.loss.sample_size_m}, "
-                f"risk has m={self.m}"
-            )
 
     def _vec(self, v, name):
         v = np.asarray(v, dtype=float)

@@ -488,8 +488,8 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     Projections with a coordinate below -1e-10 are rejected; tiny
     negatives are clipped to zero and the kernel residual re-checked.
     Returns None when no certificate can be extracted at this iterate.
-    Raises ValueError, before anything is factored, when the loss was
-    built for another m or the dual weights are not of shape (m,).
+    Raises ValueError, before anything is factored, when the dual weights
+    are not of shape (m,).
     """
     rf = RiskFunction(loss, inst.m)
     w = state.dual_weights

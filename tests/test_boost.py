@@ -1,14 +1,16 @@
 """Coordinate descent driver: selection rule, stopping precedence,
 per-step guarantees, and trace round-trips."""
 
+import collections
 import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from boostcd import boost, fixtures, structure
+from boostcd import boost, cli, fixtures, structure
 from boostcd.boost import (
     GRADIENT_BELOW_TOL,
     MAX_ITERS,
@@ -21,7 +23,7 @@ from boostcd.boost import (
     lam_from_steps,
     run,
 )
-from boostcd.instance import make_instance
+from boostcd.instance import make_instance, write_instance
 from boostcd.linesearch import RayUnboundedError
 from boostcd.losses import LOGISTIC, RiskFunction, _g, _gp, make_loss
 from references import planted
@@ -32,11 +34,11 @@ def _step_along(grad, selector=None):
     with its gradient replaced by ``grad``; the closed form takes the
     step without a line search along the made-up gradient."""
     inst = fixtures.confidence_4x3()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    loss = make_loss(LOGISTIC, inst.m)
     grad = np.array(grad, dtype=float)
-    state = dataclasses.replace(initial_state(inst, rf), grad=grad,
+    state = dataclasses.replace(initial_state(inst, loss), grad=grad,
                                 grad_inf=float(np.max(np.abs(grad))))
-    out = boost_step(inst, rf, state, RunConfig(line_search="closed", selector=selector))
+    out = boost_step(inst, loss, state, RunConfig(line_search="closed", selector=selector))
     assert out.state.lam[out.j] == out.sign * out.alpha
     return out.j, out.sign
 
@@ -77,8 +79,8 @@ def test_approx_selector_pick_admissibility():
 
 def test_initial_state_values():
     inst = fixtures.mixed_3x2()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    st = initial_state(inst, rf)
+    loss = make_loss(LOGISTIC, inst.m)
+    st = initial_state(inst, loss)
     assert st.t == 0
     assert st.objective == 3 * math.log(2)
     assert np.array_equal(st.lam, np.zeros(2))
@@ -91,8 +93,8 @@ def test_initial_state_values():
 
 def test_first_exact_step_on_mixed_instance():
     inst = fixtures.mixed_3x2()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    out = boost_step(inst, rf, initial_state(inst, rf),
+    loss = make_loss(LOGISTIC, inst.m)
+    out = boost_step(inst, loss, initial_state(inst, loss),
                      RunConfig(line_search="exact"))
     assert (out.j, out.sign) == (0, 1)
     assert abs(out.alpha - math.log(2)) <= 1e-10
@@ -102,9 +104,9 @@ def test_first_exact_step_on_mixed_instance():
 
 def test_boost_step_requires_nonstationary_state():
     inst = fixtures.attainable_pair()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
+    loss = make_loss(LOGISTIC, inst.m)
     with pytest.raises(StationaryGradientError):
-        boost_step(inst, rf, initial_state(inst, rf), RunConfig())
+        boost_step(inst, loss, initial_state(inst, loss), RunConfig())
 
 
 def test_run_already_stationary_at_zero():
@@ -161,8 +163,7 @@ def test_trace_bookkeeping():
     assert all(r.sign in (-1, 1) for r in trace.records)
     # grad_inf is the pre-step norm, so the first record carries the
     # starting gradient
-    rf = RiskFunction(make_loss("exp", inst.m), inst.m)
-    assert trace.records[0].grad_inf == initial_state(inst, rf).grad_inf
+    assert trace.records[0].grad_inf == initial_state(inst, make_loss("exp", inst.m)).grad_inf
 
 
 def test_trace_csv_round_trip_and_determinism():
@@ -184,6 +185,9 @@ def test_lam_from_steps():
     lam = lam_from_steps(3, [(0, 1, 0.5), (2, -1, 0.25), (0, 1, 0.25)])
     assert np.array_equal(lam, [0.75, 0.0, -0.25])
     assert np.array_equal(lam_from_steps(2, []), [0.0, 0.0])
+    # integral numbers of any type and CSV text are column indices
+    lam = lam_from_steps(2, [(1.0, 1, 0.5), (np.int64(0), -1.0, 0.25), ("1", "-1", "0.125")])
+    assert np.array_equal(lam, [-0.25, 0.375])
 
 
 @pytest.mark.parametrize("bad", [
@@ -195,6 +199,11 @@ def test_lam_from_steps():
     ("0", "-1", "inf"),
     ("0", "1", None),  # a short CSV row
     ("x", "1", "0.5"),
+    (1.5, 1, 0.25),  # would truncate to column 1
+    (True, -1, 0.5),  # a boolean is not a column index
+    (np.True_, 1, 0.5),
+    (1, True, 0.5),  # nor a sign
+    (math.inf, 1, 0.5),
 ])
 def test_lam_from_steps_rejects_malformed_steps(bad):
     with pytest.raises(ValueError, match="step row 2: "):
@@ -202,12 +211,12 @@ def test_lam_from_steps_rejects_malformed_steps(bad):
 
 
 def test_first_closed_form_step_on_mixed_instance():
-    # grad_inf 1/2, f = 3 ln 2 and the logistic eta = 1: the step
-    # ||grad||_inf / (eta f) is 1 / (6 ln 2)
+    # grad_inf 1/2 and f = 3 ln 2: the step ||grad||_inf / f, safe since
+    # g'' <= g, is 1 / (6 ln 2)
     inst = fixtures.mixed_3x2()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    start = initial_state(inst, rf)
-    out = boost_step(inst, rf, start, RunConfig(line_search="closed"))
+    loss = make_loss(LOGISTIC, inst.m)
+    start = initial_state(inst, loss)
+    out = boost_step(inst, loss, start, RunConfig(line_search="closed"))
     assert (out.j, out.sign, out.evals) == (0, 1, 0)
     assert start.grad_inf == 0.5
     assert out.alpha == 0.5 / start.objective
@@ -216,12 +225,11 @@ def test_first_closed_form_step_on_mixed_instance():
 
 
 def test_closed_form_descends_at_large_m():
-    # at m = 1100 the logistic eta is still 1, where the earlier
-    # 2^m / (m ln 2) overflowed: every closed-form step descends, the
+    # at m = 1100, where a curvature constant 2^m / (m ln 2) would
+    # overflow, g'' <= g still holds: every closed-form step descends, the
     # first by ||grad||_inf / f = (m / 2) / (m ln 2)
     inst = make_instance(np.full((1100, 1), -1.0))
     loss = make_loss(LOGISTIC, inst.m)
-    assert loss.eta == 1.0
     trace = run(inst, loss, RunConfig(line_search="closed", max_iters=30))
     assert trace.status == MAX_ITERS
     assert trace.records[0].alpha == pytest.approx(0.5 / math.log(2), rel=1e-14)
@@ -251,7 +259,7 @@ def test_approx_selector_degraded_descent_guarantee():
     fs = trace.objectives()
     for i, r in enumerate(trace.records):
         decrement = fs[i] - fs[i + 1]
-        floor = (c0 * r.grad_inf) ** 2 / (6.0 * loss.eta * fs[i])
+        floor = (c0 * r.grad_inf) ** 2 / (6.0 * fs[i])
         assert decrement >= floor - 1e-12
 
 
@@ -317,14 +325,14 @@ def test_every_step_selects_through_one_rule(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_boost_step_rejects_a_non_finite_gradient(bad):
     inst = fixtures.confidence_4x3()
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    state = initial_state(inst, rf)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = initial_state(inst, loss)
     grad = np.array(state.grad)
     grad[1] = bad
     state = dataclasses.replace(state, grad=grad, grad_inf=float(np.max(np.abs(grad))))
     for cfg in (RunConfig(), RunConfig(selector=ApproxSelector(0.5))):
         with pytest.raises(ValueError, match="grad must be finite"):
-            boost_step(inst, rf, state, cfg)
+            boost_step(inst, loss, state, cfg)
 
 
 def test_run_rejects_an_inadmissible_selector_pick():
@@ -382,13 +390,12 @@ def test_run_across_refresh_periods_ends_on_margins_from_lam():
 def test_refresh_step_raises_on_drifted_margins():
     inst = fixtures.mixed_3x2()
     loss = make_loss(LOGISTIC, inst.m)
-    rf = RiskFunction(loss, inst.m)
     cfg = RunConfig(line_search="exact", grad_tol=0.0)
     st = run(inst, loss, dataclasses.replace(cfg, max_iters=boost.REFRESH_EVERY - 1)).final_state
-    assert boost_step(inst, rf, st, cfg).state.t == boost.REFRESH_EVERY
+    assert boost_step(inst, loss, st, cfg).state.t == boost.REFRESH_EVERY
     drifted = dataclasses.replace(st, margins=st.margins + 1e-6)
     with pytest.raises(boost.MarginDriftError):
-        boost_step(inst, rf, drifted, cfg)
+        boost_step(inst, loss, drifted, cfg)
 
 
 @pytest.mark.parametrize("name", ["mixed-3x2", "attainable-slow"])
@@ -432,11 +439,12 @@ def test_every_step_state_matches_the_checked_loss_entry(regime, m, n, kind, lin
     # state boost_step returns, the running-margin ones included, carries
     # the numbers RiskFunction's checked entry computes from its margins.
     inst = planted(regime, m, n, 1)
-    rf = RiskFunction(make_loss(kind, m), m)
+    loss = make_loss(kind, m)
+    rf = RiskFunction(loss, m)
     cfg = RunConfig(line_search=line_search, grad_tol=0.0)
-    state = initial_state(inst, rf)
+    state = initial_state(inst, loss)
     for t in range(1, boost.REFRESH_EVERY + 11):
-        state = boost_step(inst, rf, state, cfg).state
+        state = boost_step(inst, loss, state, cfg).state
         assert state.t == t
         weights = rf.grad(state.margins)
         assert state.objective == rf.value(state.margins), t
@@ -485,12 +493,12 @@ def test_states_reuse_the_last_search_evaluation_bit_for_bit(m, n, kind, line_se
     steps = boost.REFRESH_EVERY + 16
     for regime in ("weak_learnable", "attainable", "mixed"):
         inst = planted(regime, m, n, 0)
-        rf = RiskFunction(make_loss(kind, m), m)
+        loss = make_loss(kind, m)
         cfg = RunConfig(line_search=line_search, grad_tol=0.0)
-        state = initial_state(inst, rf)
+        state = initial_state(inst, loss)
         kernel_calls.clear()
         for t in range(1, steps + 1):
-            state = boost_step(inst, rf, state, cfg).state
+            state = boost_step(inst, loss, state, cfg).state
             assert state.dual_weights.tobytes() == _gp(kind, state.margins).tobytes(), t
             assert state.objective == float(np.add.reduce(_g(kind, state.margins))), t
         assert len(kernel_calls) == steps // boost.REFRESH_EVERY, regime
@@ -500,9 +508,67 @@ def test_logistic_exact_step_along_a_column_that_beats_every_row():
     # the margins along column 0 fall without bound, so the logistic
     # weights' e^-x overflows; the search ignores that and raises
     inst = make_instance([[-1.0, 0.5], [-0.5, -1.0], [-1.0, 0.0]])
-    rf = RiskFunction(make_loss(LOGISTIC, inst.m), inst.m)
-    state = initial_state(inst, rf)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = initial_state(inst, loss)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RayUnboundedError):
-            boost_step(inst, rf, state, RunConfig(line_search="exact"))
+            boost_step(inst, loss, state, RunConfig(line_search="exact"))
+
+
+def _count_products(inst):
+    """Put on ``inst`` a view of A that counts the 2-D matrix products it is
+    the left operand of, by its shape: (m, n) for A @ lam, (n, m) for
+    A.T @ w.  Products come back as plain arrays, so the count does not
+    follow them through the loop."""
+    counts = collections.Counter()
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and method == "__call__" and np.ndim(inputs[0]) == 2:
+                counts[np.shape(inputs[0])] += 1
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    object.__setattr__(inst, "a", inst.a.view(Counting))
+    return counts
+
+
+@pytest.mark.parametrize("kind, line_search", [(LOGISTIC, "wolfe"), ("exp", "exact")])
+@pytest.mark.parametrize("steps", [100, 2 * boost.REFRESH_EVERY, 130])
+def test_a_capped_run_passes_over_a_once_per_step(steps, kind, line_search):
+    # Each state forms A.T @ w once.  A @ lam is formed at the start and at
+    # every REFRESH_EVERY-th step; a last step off that period is rebuilt
+    # from A @ lam too, as the cap holds there, at one more A.T @ w.
+    inst = planted("mixed", 50, 20, 0)
+    counts = _count_products(inst)
+    trace = run(inst, make_loss(kind), RunConfig(line_search=line_search, grad_tol=0.0,
+                                                 max_iters=steps))
+    assert trace.status == MAX_ITERS
+    tail = int(steps % boost.REFRESH_EVERY != 0)
+    assert counts == {(20, 50): 1 + steps + tail,
+                      (50, 20): 1 + steps // boost.REFRESH_EVERY + tail}
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+def test_one_loss_argument_runs_the_whole_descent_api(kind, tmp_path, capsys):
+    inst = planted("attainable", 50, 20, 0)
+    loss = make_loss(kind)
+    cfg = RunConfig(grad_tol=0.0, max_iters=70)
+    trace = run(inst, loss, cfg)
+    # a loss made for a sample size, as the benchmark makes it, is this one
+    assert run(inst, make_loss(kind, inst.m), cfg).to_csv() == trace.to_csv()
+    state = initial_state(inst, loss)
+    while state.t < cfg.max_iters:
+        state = boost_step(inst, loss, state, cfg).state
+    assert state.lam.tobytes() == trace.final_state.lam.tobytes()
+    assert state.objective == trace.final_state.objective
+    cert = structure.dual_certificate(inst, loss, trace.final_state)
+    assert cert is not None
+    path, trace_path = tmp_path / "inst.json", tmp_path / "trace.csv"
+    write_instance(inst, path)
+    trace_path.write_text(trace.to_csv())
+    assert cli.main(["certify", str(path), "--loss", kind, "--trace", str(trace_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"psi": cert.psi.tolist(), "dual_value": cert.dual_value,
+                       "gap_bound": cert.gap_bound}

@@ -5,6 +5,7 @@ formulas; they pin the implementation to the mathematical definitions
 rather than to itself.
 """
 
+import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -17,6 +18,7 @@ from boostcd.losses import (
     EXPONENTIAL,
     LOGISTIC,
     KINDS,
+    LossSpec,
     RiskFunction,
     _gp,
     _gp_on_ray,
@@ -32,27 +34,20 @@ EXP3 = make_loss(EXPONENTIAL, 3)
 LOG3 = make_loss(LOGISTIC, 3)
 
 
-def test_constants_exponential():
-    assert make_loss(EXPONENTIAL, 1).eta == 1.0
-    assert make_loss(EXPONENTIAL, 500).eta == 1.0
-
-
-def test_constants_logistic_small_m():
-    # g'' <= g on all of R, so eta = 1 whatever m
-    assert make_loss(LOGISTIC, 3).eta == 1.0
-    assert make_loss(LOGISTIC, 1).eta == 1.0
-
-
-def test_constants_logistic_large_m():
-    # past m = 1023, where 2^m overflows binary64, eta is still 1
-    assert make_loss(LOGISTIC, 1100).eta == 1.0
+def test_a_loss_is_its_kind():
+    # g'' <= g on all of R for both losses, so no constant depends on the
+    # sample size: make_loss accepts an m, past m = 1023 too, where 2^m
+    # overflows binary64, and ignores it
+    assert [f.name for f in dataclasses.fields(LossSpec)] == ["kind"]
+    for kind in KINDS:
+        for m in (None, 1, 1100):
+            assert make_loss(kind, m) == LossSpec(kind)
+        assert make_loss(kind) == LossSpec(kind)
 
 
 def test_constants_validation():
     with pytest.raises(ValueError):
         make_loss("hinge", 3)
-    with pytest.raises(ValueError):
-        make_loss(LOGISTIC, 0)
 
 
 def test_scalar_values_frozen():
@@ -142,6 +137,20 @@ def test_conjugate_off_domain_is_infinite():
     assert conj_eval(LOG3, 1.0 + 1e-9) == math.inf
 
 
+def test_exponential_conjugate_at_and_near_infinity():
+    # phi ln phi - phi is +inf at phi = +inf (not inf - inf = NaN) and where
+    # phi ln phi overflows, with no warning; finite values keep the formula
+    phis = np.array([0.0, 1e-300, 0.5, 2.5, 1e300, 2.5e305])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conj_eval(EXP3, math.inf) == math.inf
+        assert conj_eval(EXP3, 1.7e308) == math.inf
+        assert RiskFunction(EXP3, 2).conj([math.inf, 0.0]) == math.inf
+        got = [conj_eval(EXP3, p) for p in phis]
+        want = phis * np.log(phis, out=np.zeros_like(phis), where=phis > 0) - phis
+    assert got == want.tolist() and all(map(math.isfinite, got))
+
+
 def test_conjugate_gradient_inverts_loss_gradient():
     assert conj_grad(EXP3, 1.0) == 0.0
     assert conj_grad(EXP3, math.e) == pytest.approx(1.0, rel=1e-15)
@@ -185,7 +194,7 @@ def test_fenchel_young_inequality(loss, x, phi):
 @pytest.mark.parametrize("m", [1, 3, 8])
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_set_inequalities(kind, m):
-    # g'' <= eta g on the initial sublevel set {x : g(x) <= m g(0)}; its
+    # g'' <= g on the initial sublevel set {x : g(x) <= m g(0)}; its
     # right edge for the logistic loss is ln(2^m - 1), for the
     # exponential loss ln m.
     loss = make_loss(kind, m)
@@ -195,7 +204,7 @@ def test_level_set_inequalities(kind, m):
         edge = math.log(2.0 ** m - 1.0)
     for x in np.linspace(-40.0, edge, 400):
         g = loss_eval(loss, x)
-        assert _gpp(kind, x) <= loss.eta * g * (1 + 1e-12)
+        assert _gpp(kind, x) <= g * (1 + 1e-12)
 
 
 def test_risk_values_and_gradient():
@@ -237,7 +246,5 @@ def test_risk_shape_and_mismatch_validation():
         rf.value(np.zeros(4))
     with pytest.raises(ValueError):
         rf.value([0.0, math.inf, 0.0])
-    with pytest.raises(ValueError):
-        RiskFunction(make_loss(LOGISTIC, 5), 3)  # constants built for m=5
     with pytest.raises(ValueError):
         RiskFunction(EXP3, 0)

@@ -19,7 +19,7 @@ import scipy.linalg
 import boostcd
 from boostcd import boost, cli, fixtures, structure
 from boostcd.instance import make_instance
-from boostcd.losses import KINDS, LOGISTIC, RiskFunction, make_loss
+from boostcd.losses import KINDS, LOGISTIC, make_loss
 from boostcd.structure import (
     ATTAINABLE,
     MIXED,
@@ -57,8 +57,7 @@ EXPECTED = {
 
 
 def _state(inst, loss, lam):
-    rf = RiskFunction(loss, inst.m)
-    return boost._state_at(inst, rf, np.asarray(lam, dtype=float), 0)
+    return boost._state_at(inst, loss, np.asarray(lam, dtype=float), 0)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -420,8 +419,6 @@ def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
     for w in (np.ones(5), np.ones(12), np.ones((8, 1))):
         with pytest.raises(ValueError, match=r"dual_weights must have shape \(8,\)"):
             dual_certificate(inst, loss, dataclasses.replace(state, dual_weights=w))
-    with pytest.raises(ValueError, match="built for m=9"):
-        dual_certificate(inst, make_loss(LOGISTIC, 9), state)
     assert factors == []
 
 
