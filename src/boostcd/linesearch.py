@@ -72,7 +72,9 @@ def wolfe_search(phi, dphi, *, phi0: float, dphi0: float) -> StepResult:
 
     by doubling an upper bracket while (1) still holds there, then
     bisecting: a midpoint violating (1) becomes the new upper end,
-    one satisfying (1) but not (2) the new lower end.  Requires
+    one satisfying (1) but not (2) the new lower end.  After a doubling
+    the first midpoint is the last end where (1) held, and its phi is
+    reused, so each trial point is evaluated once.  Requires
     phi'(0) < 0 and phi bounded below; termination on such functions
     is guaranteed in exact arithmetic, and the budgets MAX_DOUBLINGS
     and MAX_REFINEMENTS (bisections) guard against floating-point
@@ -111,10 +113,12 @@ def wolfe_search(phi, dphi, *, phi0: float, dphi0: float) -> StepResult:
     hi = 1.0
     f_hi = float(phi(hi))
     evals = 1
+    f_half = None  # phi(hi / 2), known once a doubling has been made
     doublings = 0
     while decreased(hi, f_hi):
         if doublings >= MAX_DOUBLINGS:
             raise LineSearchBudgetError("bracketing budget exhausted", (0.0, hi))
+        f_half = f_hi
         hi *= 2.0
         doublings += 1
         f_hi = float(phi(hi))
@@ -123,8 +127,11 @@ def wolfe_search(phi, dphi, *, phi0: float, dphi0: float) -> StepResult:
     lo = 0.0
     alpha = hi / 2.0
     for _ in range(MAX_REFINEMENTS):
-        value = float(phi(alpha))
-        evals += 1
+        if f_half is None:
+            value = float(phi(alpha))
+            evals += 1
+        else:
+            value, f_half = f_half, None
         if abs(value - phi0) <= band:
             slope = float(dphi(alpha))
             evals += 1

@@ -9,6 +9,13 @@ squares a condition number that the scaling ``Theta`` drives past 1e16
 near the optimum.  ``G`` must have full row rank; the first
 factorization checks it and raises RankDeficientError otherwise.
 
+:func:`_factor` calls LAPACK directly: ``dgeqrf`` factors the scaled
+matrix in place, the rank check reads the diagonal of its result, R is
+the upper triangle of its leading r x r block, copied once, and
+``dorgqr`` then turns the same memory into the thin Q.  The three
+triangular solves of an iteration, ``R^T p_p = r_p`` once and
+``R dy = p`` in each direction, go to ``dtrtrs`` on that copy.
+
 The iterates follow the central path, whose limit is a strictly
 complementary solution (Guler & Ye 1993): every variable that is
 positive at some optimum ends up bounded away from zero, and every one
@@ -22,14 +29,17 @@ with a finite bound are permuted, once per solve, into one leading
 block, so each of their slices is a view.  The complementary pairs are
 stored stacked: ``xw = (x, w)`` with ``w = upper - x`` on that block,
 and ``zv = (z, v)`` with their multipliers.  The gap, the ratio tests,
-``mu_aff`` and the updates then take one call each.  The triangular
-solves with ``R`` go to LAPACK's ``dtrtrs`` directly.
+``mu_aff`` and the updates then take one call each.  The stopping test
+checks the duality gap first, so the residual maxima are formed only
+near the optimum.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 # Relative primal residual, dual residual and duality gap at which the
 # iteration stops, and the iteration cap past which it raises.
@@ -46,6 +56,36 @@ class RankDeficientError(ValueError):
     """``G`` does not have full row rank: it has more rows than columns,
     or the first R has a diagonal entry at or below
     ``G.shape[1] * eps * max |diag R|``."""
+
+
+def _factor(a, check_rank):
+    """Thin QR of the n x r Fortran-ordered ``a``, which it overwrites:
+    returns ``(q, R)`` with q's r orthonormal columns in a's memory and R
+    an r x r copy of the factor's leading block.  R's strict lower
+    triangle holds Householder vectors, which ``dtrtrs`` does not read.
+    With ``check_rank`` it raises RankDeficientError, before forming q,
+    when n < r (``dorgqr`` needs n >= r) or a diagonal entry of R is at
+    or below ``n * eps * max |diag R|``."""
+    n, r = a.shape
+    # The wrappers' default workspace of 3 r shrinks LAPACK's blocks to 3
+    # columns once r passes its crossover of 128, which nearly doubled a
+    # 5500 x 500 factor.  The optimal one, r times the block size, serves
+    # dorgqr too; the query takes no r of 0.
+    lwork = int(dgeqrf_lwork(n, max(r, 1))[0])
+    qr, tau, _, info = dgeqrf(a, lwork=lwork, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf: illegal argument {-info}")
+    if check_rank:
+        diag = np.abs(np.diagonal(qr))
+        if diag.size < r or not np.all(
+                diag > n * np.finfo(float).eps * diag.max(initial=0.0)):
+            raise RankDeficientError(
+                f"G ({r} x {n}) does not have full row rank")
+    R = qr[:r, :r].copy(order="F")
+    q, _, info = dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dorgqr: illegal argument {-info}")
+    return q, R
 
 
 def _max_step(vals, dirs):
@@ -81,6 +121,8 @@ def solve(G, h, c, upper):
     x, w = xw[:n], xw[n:]
     z, v = zv[:n], zv[n:]
     y = np.zeros(G.shape[0])
+    # (G Theta^1/2)^T, Fortran-ordered so that LAPACK factors it in place
+    gs = np.empty((n, G.shape[0]), order="F")
     ncomp = xw.size
     scale_h = np.abs(h).max(initial=0.0)
     scale_d = 1.0 + np.abs(c).max(initial=0.0)
@@ -91,12 +133,12 @@ def solve(G, h, c, upper):
         r_d[:nf] += v
         xz = xw * zv
         gap = xz.sum()
-        if not np.isfinite(gap):
+        if not math.isfinite(gap):
             break
-        if (max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
+        if (gap <= TOL * (1.0 + abs(c @ x))
+                and max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
                 <= TOL * (1.0 + max(scale_h, x.max()))
-                and np.abs(r_d).max() <= TOL * scale_d
-                and gap <= TOL * (1.0 + abs(c @ x))):
+                and np.abs(r_d).max() <= TOL * scale_d):
             out = np.empty(n)
             out[order] = x
             return out, y
@@ -105,17 +147,11 @@ def solve(G, h, c, upper):
         d = ratio[:n]
         d[:nf] += ratio[n:]
         sq = 1.0 / np.sqrt(d)  # Theta^1/2
-        q, R = np.linalg.qr(G.T * sq[:, None])
-        if it == 0:
-            diag = np.abs(np.diag(R))
-            if diag.size < G.shape[0] or not np.all(
-                    diag > G.shape[1] * np.finfo(float).eps * diag.max(initial=0.0)):
-                raise RankDeficientError(
-                    f"G ({G.shape[0]} x {G.shape[1]}) does not have full row rank")
-        # R.T is R's Fortran-ordered transpose, so LAPACK reads it in place
-        # as a lower factor.  info > 0 flags an exact zero on R's diagonal;
-        # it is the same for every solve with this R.
-        p_p, info = dtrtrs(R.T, r_p, lower=1)
+        np.multiply(G.T, sq[:, None], out=gs)
+        q, R = _factor(gs, it == 0)
+        # info > 0 flags an exact zero on R's diagonal; it is the same for
+        # every solve with this R
+        p_p, info = dtrtrs(R, r_p, trans=1)
         if info:
             break
         v_ru = v * r_u
@@ -142,7 +178,7 @@ def solve(G, h, c, upper):
             r[:nf] += t[n:]
             sr = sq * r
             p = q.T @ sr + p_p
-            dy = dtrtrs(R.T, p, lower=1, trans=1)[0]
+            dy = dtrtrs(R, p)[0]
             dxw = np.empty(ncomp)
             np.multiply(sq, q @ p - sr, out=dxw[:n])
             np.subtract(r_u, dxw[:nf], out=dxw[n:])

@@ -20,6 +20,14 @@ def _wolfe(phi, dphi):
     return wolfe_search(phi, dphi, phi0=phi(0.0), dphi0=dphi(0.0))
 
 
+def _wolfe_trials(phi, dphi):
+    """The search's result and the points where it evaluated phi."""
+    seen = []
+    res = wolfe_search(lambda a: seen.append(a) or phi(a), dphi,
+                       phi0=phi(0.0), dphi0=dphi(0.0))
+    return res, seen
+
+
 def _exact(dphi):
     return exact_search(dphi, dphi0=dphi(0.0))
 
@@ -35,8 +43,10 @@ def test_wolfe_on_shifted_quadratic():
     # [1/2, 4/3]; the bracket 1 -> 2 then midpoint 1 lands dead center.
     phi = lambda a: (a - 1.0) ** 2
     dphi = lambda a: 2.0 * (a - 1.0)
-    res = _wolfe(phi, dphi)
+    res, seen = _wolfe_trials(phi, dphi)
     assert res.alpha == 1.0
+    # the midpoint 1 was the first bracket end: phi is not evaluated again
+    assert seen == [1.0, 2.0] and res.evals == 3
     assert 0.5 <= res.alpha <= 4.0 / 3.0
     assert all(_conditions(phi, dphi, res.alpha))
 
@@ -46,7 +56,8 @@ def test_wolfe_on_decaying_exponential():
     # e^-a = 1 - a/3; bracketing doubles 1 -> 2 -> 4, bisection accepts 2.
     phi = lambda a: math.exp(-a)
     dphi = lambda a: -math.exp(-a)
-    res = _wolfe(phi, dphi)
+    res, seen = _wolfe_trials(phi, dphi)
+    assert seen == [1.0, 2.0, 4.0] and res.evals == 4
     upper = brentq(lambda a: math.exp(-a) - (1.0 - a / 3.0), 2.0, 3.0, xtol=1e-13)
     assert upper == pytest.approx(2.8214393721220787, rel=1e-12)
     assert res.alpha == 2.0

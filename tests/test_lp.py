@@ -66,13 +66,13 @@ def test_limit_is_strictly_complementary():
 
 def _count_factorizations(monkeypatch):
     calls = []
-    qr = np.linalg.qr
+    factor = lp._factor
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return qr(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(lp.np.linalg, "qr", counting)
+    monkeypatch.setattr(lp, "_factor", counting)
     return calls
 
 
@@ -107,6 +107,16 @@ def test_rank_deficient_rows_raise_before_iterating(monkeypatch):
         with pytest.raises(RankDeficientError):
             _solve(g, h, np.zeros(len(g[0])), [INF] * len(g[0]))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+def test_a_nonzero_lapack_info_raises(routine, monkeypatch):
+    # info < 0 names an illegal argument: the solve stops with the
+    # routine's name rather than iterating on whatever it returned
+    call = getattr(lp, routine)
+    monkeypatch.setattr(lp, routine, lambda *a, **k: (*call(*a, **k)[:-1], -1))
+    with pytest.raises(np.linalg.LinAlgError, match=routine):
+        _solve([[1.0, 1.0]], [3.0], [-1.0, 0.0], [INF, INF])
 
 
 def test_bad_upper_bounds_raise_up_front():

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 import boostcd
-from boostcd import boost, cli, fixtures, structure
+from boostcd import boost, cli, fixtures, lp, structure
 from boostcd.instance import make_instance
 from boostcd.losses import KINDS, LOGISTIC, make_loss
 from boostcd.structure import (
@@ -781,6 +781,37 @@ def test_analyze_solves_at_most_two_lps(name, monkeypatch):
     if rep.regime == WEAK_LEARNABLE:
         # the gamma LP has one row per weak learner
         assert calls[1][0].shape == (inst.n, inst.m + inst.n)
+
+
+# Interior-point factorizations per LP of an analysis of ``planted`` seeds
+# 0-2 at 20x8, 50x20 and 200x60: the largest count seen plus one, for the
+# core LP and, when weakly learnable, the gamma LP.  Seen: core 7-10 and
+# gamma 8-12 weakly learnable, 6-7 attainable, 9-12 mixed.
+LP_FACTOR_PINS = {WEAK_LEARNABLE: (11, 13), ATTAINABLE: (8,), MIXED: (13,)}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_analysis_lps_factor_within_their_pins(regime, monkeypatch):
+    per_lp = []
+    solve, factor = structure.solve, lp._factor
+
+    def solving(*args):
+        per_lp.append(0)
+        return solve(*args)
+
+    def factoring(*args):
+        per_lp[-1] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(structure, "solve", solving)
+    monkeypatch.setattr(lp, "_factor", factoring)
+    pins = LP_FACTOR_PINS[regime]
+    for m, n in ((20, 8), (50, 20), (200, 60)):
+        for seed in range(3):
+            per_lp.clear()
+            assert analyze(planted(regime, m, n, seed)).regime == regime
+            assert len(per_lp) == len(pins)
+            assert all(0 < k <= pin for k, pin in zip(per_lp, pins)), (m, n, seed, per_lp)
 
 
 def _random_cases():
