@@ -41,9 +41,14 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss kind: EXPONENTIAL or LOGISTIC."""
+    """A loss kind: EXPONENTIAL or LOGISTIC.  Any other raises ValueError:
+    every kernel reads a kind that is not EXPONENTIAL as LOGISTIC."""
 
     kind: str
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {KINDS}")
 
 
 def make_loss(kind: str, m=None) -> LossSpec:
@@ -55,8 +60,6 @@ def make_loss(kind: str, m=None) -> LossSpec:
     g'' = u / (1+u)^2 <= u / (1+u) <= ln(1+u) = g, and g''/g tends to 1
     as x -> -inf, so no smaller constant holds.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
     return LossSpec(kind)
 
 

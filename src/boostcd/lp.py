@@ -1,13 +1,14 @@
 """A dense primal-dual interior-point LP solver.
 
-:func:`solve` minimizes ``c @ x`` subject to ``G x = h`` and
-``0 <= x <= upper`` (entries of ``upper`` may be inf) by Mehrotra's
-predictor-corrector path following (Mehrotra 1992) from an infeasible
-start.  Each iteration factors ``(G Theta^1/2)^T = Q R`` once, so the
-normal matrix ``G Theta G^T = R^T R`` is never formed: forming it
-squares a condition number that the scaling ``Theta`` drives past 1e16
-near the optimum.  ``G`` must have full row rank; the first
-factorization checks it and raises RankDeficientError otherwise.
+:func:`solve` minimizes ``c @ x`` subject to ``G x = h``,
+``0 <= x[:nf] <= u`` and ``x[nf:] >= 0`` for ``nf = len(u)`` finite
+positive bounds, by Mehrotra's predictor-corrector path following
+(Mehrotra 1992) from an infeasible start.  Each iteration factors
+``(G Theta^1/2)^T = Q R`` once, so the normal matrix
+``G Theta G^T = R^T R`` is never formed: forming it squares a condition
+number that the scaling ``Theta`` drives past 1e16 near the optimum.
+``G`` must have full row rank; the first factorization checks it and
+raises RankDeficientError otherwise.
 
 :func:`_factor` calls LAPACK directly: ``dgeqrf`` factors the scaled
 matrix in place, the rank check reads the diagonal of its result, R is
@@ -24,10 +25,9 @@ optimal face's support off ``x`` with no crossover to a vertex.
 
 On the small LPs of the structure analysis an iteration's time goes to
 the fixed cost of each array call more than to arithmetic, so the
-layout keeps the number of calls low.  The variables
-with a finite bound are permuted, once per solve, into one leading
-block, so each of their slices is a view.  The complementary pairs are
-stored stacked: ``xw = (x, w)`` with ``w = upper - x`` on that block,
+layout keeps the number of calls low.  The bounded variables come
+first, so each of their slices is a view.  The complementary pairs are
+stored stacked: ``xw = (x, w)`` with ``w = u - x[:nf]``,
 and ``zv = (z, v)`` with their multipliers.  The gap, the ratio tests,
 ``mu_aff`` and the updates then take one call each.  The stopping test
 checks the duality gap first, so the residual maxima are formed only
@@ -96,26 +96,24 @@ def _max_step(vals, dirs):
 # A diverging iteration overflows or underflows; that shows as a duality
 # gap that is not finite or a singular R, on which the solve raises.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve(G, h, c, upper):
-    """Minimize c @ x s.t. G x = h, 0 <= x <= upper; returns (x, y) with
-    y the multipliers of the rows of G: G^T y <= c on the variables at
-    their lower bound, = c on those strictly between, >= c at the upper.
-    Every entry of ``upper`` must be positive (inf for no bound): the
-    iteration starts inside the box.  Raises ValueError otherwise,
+def solve(G, h, c, u):
+    """Minimize c @ x s.t. G x = h, 0 <= x[:nf] <= u and x[nf:] >= 0, for
+    nf = len(u); returns (x, y) with y the multipliers of the rows of G:
+    G^T y <= c on the variables at their lower bound, = c on those
+    strictly between, >= c at the upper.  Every entry of ``u`` must be
+    finite and positive, at most one per variable: the iteration starts
+    inside the box.  Raises ValueError otherwise or when G has no rows,
     RankDeficientError if G does not have full row rank and
     NotConvergedError if the iteration does not converge."""
     G = np.asarray(G, dtype=float)
-    h, c, upper = (np.asarray(a, dtype=float) for a in (h, c, upper))
-    if not np.all(upper > 0.0):
-        raise ValueError("upper bounds must be positive or inf, got "
-                         f"{upper[~(upper > 0.0)][:4].tolist()}")
-    fin = np.isfinite(upper)
-    order = np.concatenate([np.flatnonzero(fin), np.flatnonzero(~fin)])
-    G, c = G[:, order], c[order]
-    n, nf = c.size, int(np.count_nonzero(fin))
-    u = upper[order[:nf]]
+    h, c, u = (np.asarray(a, dtype=float) for a in (h, c, u))
+    n, nf = c.size, u.size
+    if nf > n or not np.all((u > 0.0) & (u < np.inf)):
+        raise ValueError(f"u must be at most {n} finite positive bounds, got {u[:5].tolist()}")
+    if not G.shape[0]:
+        raise ValueError("G has no rows, and LAPACK factors no empty matrix")
     # xw = (x, w) and zv = (z, v): w = u - x[:nf] is the slack of the
-    # finite bounds, v its multiplier, z the multiplier of x >= 0
+    # bounds, v its multiplier, z the multiplier of x >= 0
     xw = np.concatenate([u, np.full(n - nf, 2.0), u]) / 2
     zv = np.ones_like(xw)
     x, w = xw[:n], xw[n:]
@@ -139,9 +137,7 @@ def solve(G, h, c, upper):
                 and max(np.abs(r_p).max(initial=0.0), np.abs(r_u).max(initial=0.0))
                 <= TOL * (1.0 + max(scale_h, x.max()))
                 and np.abs(r_d).max() <= TOL * scale_d):
-            out = np.empty(n)
-            out[order] = x
-            return out, y
+            return x, y
         mu = gap / ncomp
         ratio = zv / xw
         d = ratio[:n]

@@ -57,7 +57,7 @@ import functools
 import json
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -66,7 +66,7 @@ import scipy.linalg
 from .boost import IterateState
 # the regime names are defined with the instances, which need no scipy
 from .instance import ATTAINABLE, MIXED, REGIMES, WEAK_LEARNABLE, BoostInstance
-from .losses import LossSpec, RiskFunction
+from .losses import LossSpec, _gstar
 from .lp import solve
 
 FEAS_TOL = 1e-8
@@ -151,8 +151,7 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         r11 = f.qr[:rank, :rank]
         q_r_t = scipy.linalg.blas.dtrsm(1.0, r11, b[:, f.piv[:rank]].T, trans_a=1)
         x, y = solve(np.hstack([q_r_t, q_r_t]), np.zeros(rank),
-                     np.concatenate([-np.ones(k), np.zeros(k)]),
-                     np.concatenate([np.ones(k), np.full(k, np.inf)]))
+                     np.concatenate([-np.ones(k), np.zeros(k)]), np.ones(k))
         in_core = x[:k] > 0.5
         core[nz[in_core]] = True
         if np.all(in_core):
@@ -258,11 +257,12 @@ def _gamma_lp(inst: BoostInstance) -> float:
 
     By LP duality (the value of the boosting game),
     gamma = 1 / max{1^T phi : -1 <= A^T phi <= 1, phi >= 0}, solved by
-    :func:`boostcd.lp.solve` with slacks s = A^T phi + 1 in [0, 2]:
+    :func:`boostcd.lp.solve` with slacks s = A^T phi + 1 in [0, 2],
+    listed first as the solver takes its bounded variables:
 
-        min -1^T phi  s.t.  A^T phi - s = -1,  phi >= 0,  0 <= s <= 2.
+        min -1^T phi  s.t.  -s + A^T phi = -1,  0 <= s <= 2,  phi >= 0.
 
-    G = [A^T, -I] always has full row rank.  The LP is unbounded, and
+    G = [-I, A^T] always has full row rank.  The LP is unbounded, and
     the solve raises NotConvergedError, unless the instance is weakly
     learnable.  Both sides of gamma are read and checked against A: the
     edge ||A^T phi||_inf / 1^T phi of the solution is an upper bound and
@@ -272,10 +272,10 @@ def _gamma_lp(inst: BoostInstance) -> float:
     """
     a = inst.a
     m, n = inst.m, inst.n
-    x, y = solve(np.hstack([a.T, -np.eye(n)]), -np.ones(n),
-                 np.concatenate([-np.ones(m), np.zeros(n)]),
-                 np.concatenate([np.full(m, np.inf), np.full(n, 2.0)]))
-    phi = x[:m]
+    # G built Fortran-ordered: a C-ordered one moves the mat-vecs' roundoff
+    x, y = solve(np.vstack([-np.eye(n), a]).T, -np.ones(n),
+                 np.concatenate([np.zeros(n), -np.ones(m)]), np.full(n, 2.0))
+    phi = x[n:]
     edge = float(np.max(np.abs(a.T @ phi)) / np.sum(phi))
     if not float(np.min(-(a @ y))) >= (edge - WITNESS_TOL) * float(np.abs(y).sum()):
         raise InvariantViolationError(
@@ -489,26 +489,27 @@ def dual_certificate(inst: BoostInstance, loss: LossSpec,
     negatives are clipped to zero and the kernel residual re-checked.
     Returns None when no certificate can be extracted at this iterate.
     Raises ValueError, before anything is factored, when the dual weights
-    are not of shape (m,).
+    are not of shape (m,) or not finite, or the objective is not finite.
     """
-    rf = RiskFunction(loss, inst.m)
     w = state.dual_weights
     if np.shape(w) != (inst.m,):
         raise ValueError(f"state.dual_weights must have shape ({inst.m},), "
                          f"got {np.shape(w)}")
+    objective = float(state.objective)
+    if not (np.all(np.isfinite(w)) and math.isfinite(objective)):
+        raise ValueError("state.dual_weights and state.objective must be finite")
     proj = _kernel_projection(inst.a, w)
-    if proj.size and float(np.min(proj)) < -1e-10:
+    if float(np.min(proj)) < -1e-10:
         return None
     psi = np.maximum(proj, 0.0)
     if float(np.max(np.abs(inst.a.T @ psi))) > FEAS_TOL:
         return None
-    fstar = rf.conj(psi)
+    fstar = float(np.sum(_gstar(loss.kind, psi)))
     if not math.isfinite(fstar):
         return None
     # inf f <= objective always; at an iterate optimal to its last bits
     # roundoff can put -f*(psi) an ulp or two above it, and lowering it to
     # the objective only shrinks the bound's error
-    objective = float(state.objective)
     dual_value = min(-fstar, objective)
     return DualCertificate(psi, dual_value, objective - dual_value)
 
@@ -525,17 +526,7 @@ class StructureReport:
     witness_dual: Optional[tuple]
 
     def to_json(self) -> str:
-        obj = {
-            "m": self.m,
-            "n": self.n,
-            "regime": self.regime,
-            "hard_core": list(self.hard_core),
-            "rows_off_core": list(self.rows_off_core),
-            "gamma_classical": self.gamma_classical,
-            "witness_primal": None if self.witness_primal is None else list(self.witness_primal),
-            "witness_dual": None if self.witness_dual is None else list(self.witness_dual),
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def _certified_split(inst: BoostInstance):

@@ -50,6 +50,14 @@ def test_constants_validation():
         make_loss("hinge", 3)
 
 
+def test_an_unknown_kind_is_refused_by_the_spec_itself():
+    # every kernel's else branch is the logistic loss, so an unchecked
+    # LossSpec("exponential") ran the logistic loss under another name
+    for kind in ("exponential", "bogus"):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            LossSpec(kind)
+
+
 def test_scalar_values_frozen():
     assert loss_eval(EXP3, 0.0) == 1.0
     assert loss_eval(EXP3, 1.0) == pytest.approx(math.e, rel=1e-15)

@@ -2,6 +2,7 @@
 classical rate, kernel projections, and dual certificates, checked
 against the independent references in ``references``."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -43,6 +44,7 @@ from references import (
     planted,
     weak_learnable,
 )
+from test_boost import _count_products
 
 EXPECTED = {
     "mixed-3x2": (MIXED, (1, 2)),
@@ -419,6 +421,15 @@ def test_dual_certificate_checks_its_inputs_before_factoring(monkeypatch):
     for w in (np.ones(5), np.ones(12), np.ones((8, 1))):
         with pytest.raises(ValueError, match=r"dual_weights must have shape \(8,\)"):
             dual_certificate(inst, loss, dataclasses.replace(state, dual_weights=w))
+    # and so must weights or an objective that are not finite: NaN weights
+    # were factored before psi's NaN check refused them, and a NaN or inf
+    # objective came back as the certificate's gap bound
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.ones(8)
+        w[3] = bad
+        for changes in ({"dual_weights": w}, {"objective": bad}):
+            with pytest.raises(ValueError, match="must be finite"):
+                dual_certificate(inst, loss, dataclasses.replace(state, **changes))
     assert factors == []
 
 
@@ -570,6 +581,35 @@ def test_dual_certificate_is_accepted_on_a_tall_block(kind, monkeypatch):
     assert np.max(np.abs(cert.psi - ref.psi)) <= 1e-12
     assert abs(cert.gap_bound - ref.gap_bound) <= 1e-12
     assert cert.gap_bound >= 0.0
+
+
+# The work of one certificate, by planted case (seed 1, 200 logistic Wolfe
+# steps): one factor of A (dgeqp3's workspace query and the factor, after
+# dgeqrt on a tall A) and the two passes of _project_out, each two dtrtrs,
+# one A.T @ w and one A @ z; a projection that passes the cone test is
+# checked by one more A.T @ psi.
+@pytest.mark.parametrize("regime, m, n, accepted", [
+    (ATTAINABLE, 50, 20, True), (ATTAINABLE, 600, 60, True), (MIXED, 50, 20, False)])
+def test_a_certificate_factors_once_and_passes_over_a_four_or_five_times(
+        regime, m, n, accepted, monkeypatch):
+    inst = planted(regime, m, n, 1)
+    loss = make_loss(LOGISTIC, inst.m)
+    state = boost.run(inst, loss, boost.RunConfig(max_iters=200)).final_state
+    factors, routines = [], collections.Counter()
+    lapack = structure._lapack
+
+    def counting(name, *args, **kwargs):
+        routines[name] += 1
+        return lapack(name, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_pivoted_qr", _counting(factors, structure._pivoted_qr))
+    monkeypatch.setattr(structure, "_lapack", counting)
+    products = _count_products(inst)
+    assert (dual_certificate(inst, loss, state) is not None) == accepted
+    assert len(factors) == 1
+    tall = {"dgeqrt": 1} if m == 600 else {}
+    assert routines == {"dgeqp3": 2, "dtrtrs": 4, **tall}
+    assert products == {(m, n): 2, (n, m): 2 + accepted}
 
 
 def _tall_certificate_case():
