@@ -29,7 +29,6 @@ from .losses import (
     EXPONENTIAL,
     LOGISTIC,
     LossSpec,
-    RiskFunction,
     conj_eval,
     conj_grad,
     loss_eval,
@@ -54,10 +53,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxSelector", "BoostInstance", "DualCertificate", "EXPONENTIAL",
-    "IterateState", "LOGISTIC", "LossSpec", "RiskFunction", "RunConfig",
-    "StepResult", "StructureReport", "Trace", "analyze", "boost_step",
-    "conj_eval", "conj_grad", "decompose", "dual_certificate",
-    "exact_search", "gamma_classical", "hard_core", "initial_state",
-    "loss_eval", "loss_grad", "make_instance", "make_loss", "read_instance",
-    "run", "wolfe_search", "write_instance",
+    "IterateState", "LOGISTIC", "LossSpec", "RunConfig", "StepResult",
+    "StructureReport", "Trace", "analyze", "boost_step", "conj_eval",
+    "conj_grad", "decompose", "dual_certificate", "exact_search",
+    "gamma_classical", "hard_core", "initial_state", "loss_eval",
+    "loss_grad", "make_instance", "make_loss", "read_instance", "run",
+    "wolfe_search", "write_instance",
 ]

@@ -88,6 +88,8 @@ def cmd_certify(args) -> int:
     state = boost._state_at(inst, loss, lam, 0)
     cert = structure.dual_certificate(inst, loss, state)
     if cert is None:
+        if args.out:  # no older certificate may stay behind in the file
+            atomic_write_text(args.out, "null\n")
         print("certificate unavailable")
         return 0
     payload = {

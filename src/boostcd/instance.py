@@ -32,7 +32,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,12 +304,15 @@ def from_json(text: str) -> BoostInstance:
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see
-    a partial file."""
+    a partial file.  The file gets the mode a plain open gives, 0o666
+    less the umask (mkstemp would give 0o600)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # opened before the try, so a name clash never unlinks another's file
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -11,9 +11,9 @@ Both losses additionally satisfy the curvature inequality that the
 closed-form step relies on, g'' <= g on all of R (see :func:`make_loss`),
 so no constant of either loss depends on the sample size.
 No step rule evaluates g'' itself, so it stays internal (``_gpp``).
-RiskFunction is the checked entry for outside margins.  ``_g`` and
-``_gp`` take float64 arrays and convert nothing: the descent loop runs
-them on margins it built itself.
+``_g`` and ``_gp`` take float64 arrays and convert nothing: the descent
+loop runs them on margins it built itself, and the risk at an iterate
+is its ``IterateState.objective``.
 
 The kernels are numpy alone: exp, softplus ln(1 + e^x), and the
 logistic g'(x) = 1 / (1 + e^-x), which ``_logistic_gp_of_neg`` forms in
@@ -184,44 +184,3 @@ def conj_grad(loss: LossSpec, phi: float) -> float:
         return math.log(phi)
     return math.log(phi) - math.log1p(-phi)
 
-
-# ---------------------------------------------------------------------------
-# empirical risk over margin vectors
-
-@dataclass(frozen=True)
-class RiskFunction:
-    """Separable empirical risk f(x) = sum_i g(x_i) over m checked margins."""
-
-    loss: LossSpec
-    m: int
-
-    def __post_init__(self):
-        if int(self.m) < 1:
-            raise ValueError("m must be >= 1")
-
-    def _vec(self, v, name):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"{name} must have shape ({self.m},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
-        return v
-
-    def value(self, margins) -> float:
-        """f(margins) as a plain sum."""
-        x = self._vec(margins, "margins")
-        return float(np.sum(_g(self.loss.kind, x)))
-
-    def grad(self, margins) -> np.ndarray:
-        """Coordinate-wise g'(margins): the current dual example weights."""
-        x = self._vec(margins, "margins")
-        return _gp(self.loss.kind, x)
-
-    def conj(self, psi) -> float:
-        """f*(psi) = sum_i g*(psi_i), +inf if any coordinate is off-domain."""
-        p = np.asarray(psi, dtype=float)
-        if p.shape != (self.m,):
-            raise ValueError(f"psi must have shape ({self.m},), got {p.shape}")
-        if np.any(np.isnan(p)):
-            raise ValueError("psi must not contain NaN")
-        return float(np.sum(_gstar(self.loss.kind, p)))

@@ -211,6 +211,21 @@ def test_certify_unavailable(tmp_path, capsys):
     assert "certificate unavailable" in out
 
 
+def test_certify_out_is_null_when_no_certificate_is_available(tmp_path, capsys):
+    # the pair's certificate once stayed in the file after the half-positive
+    # instance had none, so a script read gap bound 0 for the wrong instance
+    pair, half, cert = tmp_path / "pair.json", tmp_path / "half.json", tmp_path / "cert.json"
+    write_instance(make_instance([[-1.0], [1.0]]), pair)
+    write_instance(make_instance([[0.5], [1.0]]), half)
+    code, _, _ = _run(capsys, "certify", str(pair), "--lam", "0", "--out", str(cert))
+    assert code == 0
+    payload = json.loads(cert.read_text())
+    assert payload["psi"] == [0.5, 0.5] and payload["gap_bound"] == 0.0
+    code, out, _ = _run(capsys, "certify", str(half), "--lam", "0", "--out", str(cert))
+    assert code == 0 and out == "certificate unavailable\n"
+    assert cert.read_text() == "null\n"
+
+
 @pytest.mark.parametrize("loss", ["logistic", "exp"])
 def test_rates_battery_passes(tmp_path, capsys, loss):
     report_path = tmp_path / "rates.json"

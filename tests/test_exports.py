@@ -40,6 +40,9 @@ def test_removed_helpers_are_not_exported():
         assert name not in boostcd.__all__
         assert not hasattr(boostcd, name)
         assert not hasattr(boostcd.boost, name) and not hasattr(boostcd.linesearch, name)
+    # the risk at an iterate is IterateState.objective; no wrapper class
+    assert "RiskFunction" not in boostcd.__all__
+    assert not hasattr(boostcd, "RiskFunction") and not hasattr(boostcd.losses, "RiskFunction")
 
 
 def test_every_imported_third_party_module_is_a_declared_dependency():

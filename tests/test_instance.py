@@ -55,6 +55,8 @@ def test_validation_rejects_bad_shapes():
         make_instance(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         make_instance(np.zeros((2, 2, 2)))
+    with pytest.raises(TypeError, match="entries must be real numbers"):
+        BoostInstance([["a"]])
 
 
 def test_instance_is_immutable():
@@ -123,6 +125,12 @@ def test_json_error_messages():
         from_json('{"entries": [[0.0]]}')  # missing m, n
     with pytest.raises(ValueError, match="malformed instance JSON"):
         from_json('{"m": 1, "n": 1, "entries": [[{}]]}')  # non-numeric entry
+    with pytest.raises(ValueError, match="must be 2-dimensional"):
+        from_json('{"m": 0, "n": 0, "entries": []}')
+    with pytest.raises(ValueError, match='needs keys "m", "n", "entries"'):
+        from_json("{}")
+    with pytest.raises(ValueError, match="object keys must be strings"):
+        from_json("{1: 2}")
 
 
 def _entries_json(entries, m=1, n=2):
@@ -176,6 +184,22 @@ def test_atomic_write_failure_keeps_the_old_text_and_no_temp(tmp_path, monkeypat
         atomic_write_text(path, "new")
     assert path.read_text() == "old"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    # a new file and a replaced one both get 0o666 less the umask; a temp
+    # file from mkstemp made every written file 0o600
+    old = os.umask(0o022)
+    try:
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "first")
+        assert os.stat(path).st_mode & 0o777 == 0o644
+        os.chmod(path, 0o600)
+        atomic_write_text(path, "second")
+        assert os.stat(path).st_mode & 0o777 == 0o644
+    finally:
+        os.umask(old)
+    assert path.read_text() == "second" and os.listdir(tmp_path) == ["out.txt"]
 
 
 def _construction_paths(tmp_path):

@@ -19,10 +19,11 @@ from boostcd.losses import (
     LOGISTIC,
     KINDS,
     LossSpec,
-    RiskFunction,
+    _g,
     _gp,
     _gp_on_ray,
     _gpp,
+    _gstar,
     conj_eval,
     conj_grad,
     loss_eval,
@@ -153,7 +154,7 @@ def test_exponential_conjugate_at_and_near_infinity():
         warnings.simplefilter("error")
         assert conj_eval(EXP3, math.inf) == math.inf
         assert conj_eval(EXP3, 1.7e308) == math.inf
-        assert RiskFunction(EXP3, 2).conj([math.inf, 0.0]) == math.inf
+        assert np.sum(_gstar(EXPONENTIAL, np.array([math.inf, 0.0]))) == math.inf
         got = [conj_eval(EXP3, p) for p in phis]
         want = phis * np.log(phis, out=np.zeros_like(phis), where=phis > 0) - phis
     assert got == want.tolist() and all(map(math.isfinite, got))
@@ -216,43 +217,30 @@ def test_level_set_inequalities(kind, m):
 
 
 def test_risk_values_and_gradient():
-    rf = RiskFunction(LOG3, 3)
-    assert rf.value(np.zeros(3)) == pytest.approx(3 * math.log(2.0), rel=1e-15)
-    np.testing.assert_allclose(rf.grad(np.zeros(3)), 0.5, rtol=1e-15)
-    rf_exp = RiskFunction(EXP3, 3)
-    assert rf_exp.value(np.zeros(3)) == 3.0
+    # the risk is a plain sum of the kernel's values
+    assert np.sum(_g(LOGISTIC, np.zeros(3))) == pytest.approx(3 * math.log(2.0), rel=1e-15)
+    np.testing.assert_allclose(_gp(LOGISTIC, np.zeros(3)), 0.5, rtol=1e-15)
+    assert np.sum(_g(EXPONENTIAL, np.zeros(3))) == 3.0
     # large-margin exponential sums stay a plain sum, accurate to roundoff
-    assert rf_exp.value([40.0, 0.0, -3.0]) == pytest.approx(2.3538526683702e17, rel=1e-13)
-    rf4 = RiskFunction(make_loss(EXPONENTIAL, 4), 4)
-    assert rf4.value(np.full(4, 400.0)) == pytest.approx(4 * math.exp(400.0), rel=1e-15)
+    big = np.sum(_g(EXPONENTIAL, np.array([40.0, 0.0, -3.0])))
+    assert big == pytest.approx(2.3538526683702e17, rel=1e-13)
+    huge = np.sum(_g(EXPONENTIAL, np.full(4, 400.0)))
+    assert huge == pytest.approx(4 * math.exp(400.0), rel=1e-15)
 
 
 def test_risk_gradient_leaves_its_input_unchanged():
-    # grad passes the caller's float64 array through unconverted; the
-    # kernels form g' in a buffer of their own
-    for loss in (EXP3, LOG3):
+    # the descent loop hands _gp the float64 margins it keeps, so _gp
+    # forms g' in a buffer of its own and never writes its argument
+    for kind in KINDS:
         x = np.array([-800.0, 0.5, 3.0])
-        w = RiskFunction(loss, 3).grad(x)
+        w = _gp(kind, x)
         assert x.tolist() == [-800.0, 0.5, 3.0]
         assert w is not x and not np.shares_memory(w, x)
 
 
 def test_risk_conjugate():
-    rf = RiskFunction(LOG3, 3)
-    assert rf.conj([0.5, 0.5, 0.5]) == pytest.approx(-3 * math.log(2.0), rel=1e-15)
-    assert rf.conj([0.5, 0.5, 1.5]) == math.inf
-    assert rf.conj(np.zeros(3)) == 0.0
-    with pytest.raises(ValueError):
-        rf.conj([0.5, 0.5])
-    with pytest.raises(ValueError):
-        rf.conj([0.5, 0.5, math.nan])
-
-
-def test_risk_shape_and_mismatch_validation():
-    rf = RiskFunction(EXP3, 3)
-    with pytest.raises(ValueError):
-        rf.value(np.zeros(4))
-    with pytest.raises(ValueError):
-        rf.value([0.0, math.inf, 0.0])
-    with pytest.raises(ValueError):
-        RiskFunction(EXP3, 0)
+    # f*(psi) is the sum of g*(psi_i): +inf if any coordinate is off-domain
+    half = np.sum(_gstar(LOGISTIC, np.full(3, 0.5)))
+    assert half == pytest.approx(-3 * math.log(2.0), rel=1e-15)
+    assert np.sum(_gstar(LOGISTIC, np.array([0.5, 0.5, 1.5]))) == math.inf
+    assert np.sum(_gstar(LOGISTIC, np.zeros(3))) == 0.0

@@ -19,7 +19,7 @@ import scipy.linalg
 
 import boostcd
 from boostcd import boost, cli, fixtures, lp, structure
-from boostcd.instance import make_instance
+from boostcd.instance import BoostInstance, make_instance
 from boostcd.losses import KINDS, LOGISTIC, make_loss
 from boostcd.structure import (
     ATTAINABLE,
@@ -248,6 +248,18 @@ def test_dual_certificate_weak_learnable_is_trivial():
     assert np.array_equal(cert.psi, [0.0])
     assert cert.dual_value == 0.0
     assert cert.gap_bound == st.objective
+
+
+@pytest.mark.parametrize("kind, psi, dual", [("exp", 1.0, 3.0),
+                                             (LOGISTIC, 0.5, 3 * math.log(2.0))])
+def test_dual_certificate_on_an_all_zero_matrix(kind, psi, dual):
+    # A = 0 has rank 0, so every weighting is in ker(A^T): the projection
+    # returns g'(0) itself, and at lam = 0 the bound is exact
+    inst = BoostInstance(np.zeros((3, 2)))
+    loss = make_loss(kind, inst.m)
+    cert = dual_certificate(inst, loss, boost.initial_state(inst, loss))
+    assert cert.psi.tolist() == [psi] * 3
+    assert cert.dual_value == pytest.approx(dual, rel=1e-15) and cert.gap_bound == 0.0
 
 
 def test_dual_certificate_unavailable_for_mixed_sign_kernel():
@@ -852,6 +864,42 @@ def test_analysis_lps_factor_within_their_pins(regime, monkeypatch):
             assert analyze(planted(regime, m, n, seed)).regime == regime
             assert len(per_lp) == len(pins)
             assert all(0 < k <= pin for k, pin in zip(per_lp, pins)), (m, n, seed, per_lp)
+
+
+# The structure layer's own LAPACK calls (through structure._lapack) and
+# BLAS dtrsm calls in one analysis of ``planted`` seeds 0-2 at 20x8 and
+# 50x20, the same on every instance: each factor of a row block is
+# dgeqp3's workspace query and the factor; the core LP's rows are one
+# dtrsm; the primal witness is one dtrtrs, and on a mixed instance its
+# oblique projection one more; each projection of psi (_project_out) is
+# two passes of two dtrtrs.
+STRUCTURE_CALL_PINS = {
+    WEAK_LEARNABLE: {"dgeqp3": 2, "dtrtrs": 1, "dtrsm": 1},
+    ATTAINABLE: {"dgeqp3": 2, "dtrtrs": 4, "dtrsm": 1},
+    MIXED: {"dgeqp3": 4, "dtrtrs": 6, "dtrsm": 1},
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_an_analysis_makes_its_pinned_lapack_calls(regime, monkeypatch):
+    routines = collections.Counter()
+    lapack, dtrsm = structure._lapack, scipy.linalg.blas.dtrsm
+
+    def counting(name, *args, **kwargs):
+        routines[name] += 1
+        return lapack(name, *args, **kwargs)
+
+    def counting_dtrsm(*args, **kwargs):
+        routines["dtrsm"] += 1
+        return dtrsm(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "_lapack", counting)
+    monkeypatch.setattr(scipy.linalg.blas, "dtrsm", counting_dtrsm)
+    for m, n in ((20, 8), (50, 20)):
+        for seed in range(3):
+            routines.clear()
+            assert analyze(planted(regime, m, n, seed)).regime == regime
+            assert routines == STRUCTURE_CALL_PINS[regime], (m, n, seed)
 
 
 def _random_cases():
