@@ -8,17 +8,24 @@ the gradient sup-norm falls below tolerance, an optional target
 objective is reached, or the iteration cap is hit.
 
 A step updates the margins A @ lam in O(m), from the ones its line
-search already evaluated.  The search's last evaluation is at those
-margins whenever it is at the accepted step, and then the new state
-takes its weights (and, after a Wolfe search, its objective) from that
-evaluation instead of running the unchecked loss kernels again; the two
-agree bit for bit.  A step checks only the scalar grad_inf (above
-grad_tol, and finite: NaN or inf exactly when a gradient entry is),
-then picks the coordinate by _select, with or without a selector.  One
-rule in boost_step rebuilds the state from A @ lam, checking margins
-and risk are finite and the running margins did not drift: every
-REFRESH_EVERY steps, and where a stopping rule holds.  Only _state_at
-takes a lam from outside, with the same finiteness checks.
+search already evaluated.  A Wolfe search's phi caches its values, and
+at a power of two it does not hold (the search's trial points are powers
+of two until its lower end leaves 0) evaluates the next points of that
+ladder with it in one 2-D pass; each row is bit for bit the single
+evaluation (see _ray_phi).  The new state takes its objective from phi's
+cache and its weights from the search's last derivative evaluation when
+they are at the accepted step, instead of running the unchecked loss
+kernels again; the two agree bit for bit.  A step checks only the scalar
+grad_inf (above grad_tol, and finite: NaN or inf exactly when a gradient
+entry is), then picks the coordinate by _select, with or without a
+selector.  One rule in _step rebuilds the iterate from A @ lam, checking
+margins and risk are finite and the running margins did not drift:
+every REFRESH_EVERY steps, and where a stopping rule holds.  Only
+_state_at takes a lam from outside, with the same finiteness checks.
+
+_step, the one step routine, works on plain arrays: ``run`` carries them
+between steps and freezes only its final state into an IterateState;
+boost_step freezes the state it returns.
 """
 
 from __future__ import annotations
@@ -48,6 +55,15 @@ LINE_SEARCHES = (linesearch.WOLFE, linesearch.CLOSED_FORM, linesearch.EXACT)
 # drift is of order 1e-14 relative; 1e-9 leaves room for five orders more.
 REFRESH_EVERY = 64
 MARGIN_DRIFT_TOL = 1e-9
+
+# A Wolfe step's phi evaluates up to _LADDER_ROWS points of a halving (or
+# doubling) ladder in one pass, while they hold at most _LADDER_ENTRIES
+# margins (see _ladder_rows and boost_step).  Picked by a sweep of
+# per-step time at m = 3 to 5000: at m >= 129 every pass is one point.
+_LADDER_ROWS = 16
+_LADDER_ENTRIES = 512
+_HALVINGS = np.ldexp(1.0, -np.arange(_LADDER_ROWS))[:, None]
+_DOUBLINGS = np.ldexp(1.0, np.arange(_LADDER_ROWS))[:, None]
 
 
 class StationaryGradientError(ValueError):
@@ -120,35 +136,57 @@ class IterateState:
     t: int
 
 
-def _state_from(inst: BoostInstance, loss: LossSpec, lam: np.ndarray,
-                margins: np.ndarray, t: int, weights: Optional[np.ndarray] = None,
-                objective: Optional[float] = None) -> IterateState:
-    """The state at ``lam`` whose margins are ``margins``; takes ownership
+class _Iterate(NamedTuple):
+    """An IterateState's fields on plain, writable arrays: the form ``run``
+    carries between steps, frozen by _freeze only where it leaves."""
+
+    lam: np.ndarray
+    margins: np.ndarray
+    objective: float
+    dual_weights: np.ndarray
+    grad: np.ndarray
+    grad_inf: float
+    t: int
+
+
+def _iterate_from(inst: BoostInstance, kind: str, lam: np.ndarray, margins: np.ndarray,
+                  t: int, weights: Optional[np.ndarray] = None,
+                  objective: Optional[float] = None) -> _Iterate:
+    """The iterate at ``lam`` whose margins are ``margins``; takes ownership
     of the arrays.  ``weights`` and ``objective``, when given, must be
     g'(margins) and the risk at them as the unchecked loss kernels give
     them; those not given are computed by the kernels."""
-    kind = loss.kind
     if weights is None:
         weights = _gp(kind, margins)
     if objective is None:
         objective = float(np.add.reduce(_g(kind, margins)))
     grad = inst.a.T @ weights
-    for arr in (lam, margins, weights, grad):
+    return _Iterate(lam, margins, objective, weights, grad, _norm_inf(grad), t)
+
+
+def _iterate_at(inst: BoostInstance, kind: str, lam: np.ndarray, t: int) -> _Iterate:
+    """The iterate recomputed from A @ lam: margins or a risk that are not
+    finite raise ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        it = _iterate_from(inst, kind, lam, inst.a @ lam, t)
+    if not np.all(np.isfinite(it.margins)):
+        raise ValueError("margins must be finite")
+    if not math.isfinite(it.objective):
+        raise ValueError("risk is not finite at this lam")
+    return it
+
+
+def _freeze(it: _Iterate) -> IterateState:
+    """The frozen IterateState of ``it``, whose arrays become read-only."""
+    for arr in (it.lam, it.margins, it.dual_weights, it.grad):
         arr.flags.writeable = False
-    return IterateState(lam, margins, objective, weights, grad, _norm_inf(grad), int(t))
+    return IterateState(*it)
 
 
 def _state_at(inst: BoostInstance, loss: LossSpec, lam: np.ndarray, t: int) -> IterateState:
     """The state recomputed from A @ lam, the one entry for an outside lam:
     margins or a risk that are not finite raise ValueError."""
-    lam = np.array(lam, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = _state_from(inst, loss, lam, inst.a @ lam, t)
-    if not np.all(np.isfinite(state.margins)):
-        raise ValueError("margins must be finite")
-    if not math.isfinite(state.objective):
-        raise ValueError("risk is not finite at this lam")
-    return state
+    return _freeze(_iterate_at(inst, loss.kind, np.array(lam, dtype=float), int(t)))
 
 
 def initial_state(inst: BoostInstance, loss: LossSpec) -> IterateState:
@@ -197,42 +235,62 @@ class StepOutcome(NamedTuple):
     evals: int
 
 
-def boost_step(inst: BoostInstance, loss: LossSpec, state: IterateState,
-               cfg: RunConfig) -> StepOutcome:
-    """One descent step.  Requires a non-stationary state (gradient
-    sup-norm above cfg.grad_tol).
+def _ladder_rows(m: int) -> int:
+    """Rows of one ladder pass over m margins: as many as _LADDER_ENTRIES
+    entries hold, at most _LADDER_ROWS.  A pass of fewer than four rows
+    costs more than the single passes it saves, so then it is one row."""
+    rows = min(_LADDER_ROWS, _LADDER_ENTRIES // m)
+    return rows if rows >= 4 else 1
 
-    The new margins are ``state.margins + (sign * alpha) * a[:, j]``,
-    the ones the line search evaluated at its step.  When the search's
-    last derivative evaluation was at the accepted step, the new weights
-    are the ones it computed, and after a Wolfe search, whose last value
-    evaluation is there too, so is the objective; otherwise they are
-    computed from the margins.  The gradient A.T @ weights is recomputed
-    in full, since selection needs all of it.  On every REFRESH_EVERY-th
-    iterate, and on one where a stopping rule of ``cfg`` holds, the state
-    is rebuilt from A @ lam instead; running margins that drifted from it
-    raise MarginDriftError."""
-    if state.grad_inf <= cfg.grad_tol:
+
+def _ray_phi(kind: str, col: np.ndarray, base: np.ndarray, s: float, rows: int):
+    """phi(alpha), the risk at base + (s * alpha) * col, and the dict of
+    its values by signed step s * alpha, which phi fills and reads.  A
+    request at a power of two that phi holds no value for is evaluated
+    with the next rows - 1 points of its ladder in one 2-D pass: halving
+    from 1 and below, doubling above 1.  Each row is bit for bit the
+    single evaluation, which every other request gets: the kernels are
+    elementwise, and numpy sums each contiguous row pairwise, as it sums
+    one array.  So traces do not depend on the rows per pass."""
+    values = {}
+
+    def phi(alpha):
+        step = s * alpha
+        value = values.get(step)
+        if value is None:
+            if rows > 1 and math.frexp(alpha)[0] == 0.5:
+                steps = (_DOUBLINGS if alpha > 1.0 else _HALVINGS)[:rows] * step
+                x = steps * col
+                x += base
+                values.update(zip(steps.ravel().tolist(),
+                                  np.add.reduce(_g(kind, x), axis=1).tolist()))
+                return values[step]
+            x = col * step
+            x += base
+            value = values[step] = float(np.add.reduce(_g(kind, x)))
+        return value
+
+    return phi, values
+
+
+def _step(inst: BoostInstance, kind: str, it, cfg: RunConfig):
+    """boost_step on raw arrays: ``it`` has IterateState's fields (an
+    _Iterate or an IterateState).  Returns the next _Iterate, the step's
+    j, sign, alpha and evaluation count, and the stopping rule that holds
+    at the next iterate (None if none does)."""
+    if it.grad_inf <= cfg.grad_tol:
         raise StationaryGradientError(
-            f"gradient sup-norm {state.grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
+            f"gradient sup-norm {it.grad_inf!r} is already <= tolerance {cfg.grad_tol!r}"
         )
-    if not math.isfinite(state.grad_inf):  # max |grad| is NaN or inf iff an entry is
+    if not math.isfinite(it.grad_inf):  # max |grad| is NaN or inf iff an entry is
         raise ValueError("grad must be finite")
-    j, sign = _select(state.grad, state.grad_inf, cfg.selector)
+    j, sign = _select(it.grad, it.grad_inf, cfg.selector)
     col = inst.a[:, j]
-    base = state.margins
+    base = it.margins
     s = float(sign)
-    slope0 = float(sign * state.grad[j])
-    kind = loss.kind
-    # (alpha, value) and (alpha, weights) of the last evaluations
-    last_phi = last_dphi = (None, None)
-
-    def phi(alpha):  # at the trial margins base + (s * alpha) * col, in one buffer
-        nonlocal last_phi
-        x = col * (s * alpha)
-        x += base
-        last_phi = alpha, float(np.add.reduce(_g(kind, x)))
-        return last_phi[1]
+    slope0 = float(sign * it.grad[j])
+    phi, values = _ray_phi(kind, col, base, s, _ladder_rows(base.size))
+    last_dphi = (None, None)  # (alpha, weights) of the last derivative evaluation
 
     def dphi(alpha):
         nonlocal last_dphi
@@ -245,30 +303,53 @@ def boost_step(inst: BoostInstance, loss: LossSpec, state: IterateState,
     # test, and a logistic weight whose e^-x overflows is 0, its limit.
     with np.errstate(over="ignore"):
         if cfg.line_search == linesearch.WOLFE:
-            res = linesearch.wolfe_search(phi, dphi, phi0=state.objective, dphi0=slope0)
+            res = linesearch.wolfe_search(phi, dphi, phi0=it.objective, dphi0=slope0)
         elif cfg.line_search == linesearch.CLOSED_FORM:
             # ||grad||_inf / f: a safe step since g'' <= g
-            res = StepResult(state.grad_inf / state.objective, 0)
+            res = StepResult(it.grad_inf / it.objective, 0)
         else:
             res = linesearch.exact_search(dphi, dphi0=slope0)
 
     alpha = res.alpha
-    lam = np.array(state.lam)
+    lam = np.array(it.lam)
     lam[j] += s * alpha
     margins = base + (s * alpha) * col
-    t = state.t + 1
-    new_state = None
+    t = it.t + 1
+    status = None
     if t % REFRESH_EVERY:
-        new_state = _state_from(inst, loss, lam, margins, t,
-                                weights=last_dphi[1] if last_dphi[0] == alpha else None,
-                                objective=last_phi[1] if last_phi[0] == alpha else None)
-    if new_state is None or _stop_status(new_state, cfg) is not None:
-        new_state = _state_at(inst, loss, lam, t)
-        drift = _norm_inf(margins - new_state.margins)
-        if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(new_state.margins)):
+        nxt = _iterate_from(inst, kind, lam, margins, t,
+                            weights=last_dphi[1] if last_dphi[0] == alpha else None,
+                            objective=values.get(s * alpha))
+        status = _stop_status(nxt, cfg)
+    if not t % REFRESH_EVERY or status is not None:
+        nxt = _iterate_at(inst, kind, lam, t)
+        drift = _norm_inf(margins - nxt.margins)
+        if not drift <= MARGIN_DRIFT_TOL * (1.0 + _norm_inf(nxt.margins)):
             raise MarginDriftError(
                 f"running margins drifted {drift!r} from A @ lam at iteration {t}")
-    return StepOutcome(new_state, j, sign, float(alpha), res.evals)
+        status = _stop_status(nxt, cfg)
+    return nxt, j, sign, float(alpha), res.evals, status
+
+
+def boost_step(inst: BoostInstance, loss: LossSpec, state: IterateState,
+               cfg: RunConfig) -> StepOutcome:
+    """One descent step.  Requires a non-stationary state (gradient
+    sup-norm above cfg.grad_tol).
+
+    The new margins are ``state.margins + (sign * alpha) * a[:, j]``,
+    the ones the line search evaluated at its step.  A Wolfe search's phi
+    caches its values and evaluates ladders of powers of two in one pass
+    (_ray_phi); the new objective is its value at the accepted step when
+    it holds one, and the new weights are the last derivative
+    evaluation's when that was at the accepted step; otherwise they are
+    computed from the margins.  The gradient A.T @ weights is recomputed
+    in full, since selection needs all of it.  On every REFRESH_EVERY-th
+    iterate, and on one where a stopping rule of ``cfg`` holds, the state
+    is rebuilt from A @ lam instead; running margins that drifted from it
+    raise MarginDriftError.  The step is _step on plain arrays, which
+    ``run`` calls directly; only the state returned here is frozen."""
+    it, j, sign, alpha, evals, _ = _step(inst, loss.kind, state, cfg)
+    return StepOutcome(_freeze(it), j, sign, alpha, evals)
 
 
 @dataclass(frozen=True)
@@ -338,23 +419,20 @@ def run(inst: BoostInstance, loss: LossSpec, cfg: RunConfig = RunConfig()) -> Tr
 
     Stopping precedence: target objective (if configured), then gradient
     tolerance, then the iteration cap; the returned ``Trace.status`` names
-    the rule that fired.  boost_step rebuilds every state at which a rule
-    holds from A @ lam, so the final state and the last record come from
-    A @ lam exactly.
+    the rule that fired.  The step routine rebuilds every iterate at which
+    a rule holds from A @ lam, so the final state and the last record come
+    from A @ lam exactly.  Iterates stay plain arrays between steps; only
+    the final state is frozen.
     """
-    state = initial_state(inst, loss)
-    f0 = state.objective
+    kind = loss.kind
+    it = _iterate_at(inst, kind, np.zeros(inst.n), 0)
+    f0 = it.objective
     records: List[TraceRecord] = []
-    status = _stop_status(state, cfg)
+    status = _stop_status(it, cfg)
     while status is None:
-        grad_inf = state.grad_inf
+        grad_inf = it.grad_inf
         tic = time.perf_counter()
-        out = boost_step(inst, loss, state, cfg)
-        state = out.state
-        status = _stop_status(state, cfg)
+        it, j, sign, alpha, evals, status = _step(inst, kind, it, cfg)
         wall = time.perf_counter() - tic
-        records.append(
-            TraceRecord(state.t, state.objective, grad_inf, out.j, out.sign,
-                        out.alpha, wall, out.evals)
-        )
-    return Trace(records, status, f0, state)
+        records.append(TraceRecord(it.t, it.objective, grad_inf, j, sign, alpha, wall, evals))
+    return Trace(records, status, f0, _freeze(it))

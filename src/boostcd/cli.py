@@ -104,9 +104,15 @@ def cmd_certify(args) -> int:
 def cmd_gen(args) -> int:
     if args.name == "random":
         inst = fixtures.random_by_regime(
-            args.regime, seed=args.seed, m=args.m, n=args.n, entries=args.entries
+            args.regime or WEAK_LEARNABLE, seed=args.seed or 0, m=args.m, n=args.n,
+            entries=args.entries or "uniform"
         )
     elif args.name in fixtures.FIXTURES:
+        given = [f"--{opt}" for opt in ("m", "n", "regime", "seed", "entries")
+                 if getattr(args, opt) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} only apply to 'gen random', "
+                             f"not to the named fixture {args.name!r}")
         inst = fixtures.FIXTURES[args.name]()
     else:
         known = ", ".join(sorted(fixtures.FIXTURES))
@@ -304,12 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a fixture or random instance")
     p_gen.add_argument("name", help="fixture name, or 'random'")
-    p_gen.add_argument("--regime", default=WEAK_LEARNABLE, choices=REGIMES)
-    p_gen.add_argument("--seed", type=int, default=0)
+    # None marks a flag not given: a named fixture refuses every one of these
+    p_gen.add_argument("--regime", default=None, choices=REGIMES)
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--entries", default="uniform",
-                       choices=("uniform", "sign", "ternary"))
+    p_gen.add_argument("--entries", default=None, choices=("uniform", "sign", "ternary"))
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
 

@@ -74,7 +74,10 @@ def wolfe_search(phi, dphi, *, phi0: float, dphi0: float) -> StepResult:
     bisecting: a midpoint violating (1) becomes the new upper end,
     one satisfying (1) but not (2) the new lower end.  After a doubling
     the first midpoint is the last end where (1) held, and its phi is
-    reused, so each trial point is evaluated once.  Requires
+    reused, so each trial point is evaluated once.  The trial points
+    are exact powers of two until the lower end leaves 0: 1, its
+    doublings, then the halvings hi / 2, hi / 4, ... of the upper end
+    (boost_step's phi evaluates such ladders in one pass).  Requires
     phi'(0) < 0 and phi bounded below; termination on such functions
     is guaranteed in exact arithmetic, and the budgets MAX_DOUBLINGS
     and MAX_REFINEMENTS (bisections) guard against floating-point

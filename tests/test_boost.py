@@ -576,3 +576,114 @@ def test_one_loss_argument_runs_the_whole_descent_api(kind, tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed == {"psi": cert.psi.tolist(), "dual_value": cert.dual_value,
                        "gap_bound": cert.gap_bound}
+
+
+def _ladder(top, rows, up):
+    """2 * rows powers of two from ``top``: down by halvings or up by doublings."""
+    return [math.ldexp(top, k if up else -k) for k in range(2 * rows)]
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 50, boost._LADDER_ENTRIES // 4,
+                               boost._LADDER_ENTRIES // 4 + 1, boost._LADDER_ENTRIES - 1,
+                               boost._LADDER_ENTRIES])
+def test_ladder_rows_are_the_single_evaluations_bit_for_bit(m, kind):
+    # phi's ladder passes must give each point the bits of its own pass
+    # (the single evaluation), on ladders down from 1 and up from 2, with
+    # margins of +-900 where the exp rows overflow to +inf: under the
+    # step's errstate, and with no RuntimeWarning
+    rng = np.random.default_rng(m)
+    col = rng.uniform(-1.0, 1.0, m)
+    base = rng.choice([-900.0, 900.0], m) + rng.uniform(-1.0, 1.0, m)
+    rows = boost._LADDER_ROWS
+    for s in (1.0, -1.0):
+        for alphas in (_ladder(1.0, rows, False), _ladder(2.0, rows, True)):
+            with warnings.catch_warnings(), np.errstate(over="ignore"):
+                warnings.simplefilter("error")
+                ladder, values = boost._ray_phi(kind, col, base, s, rows)
+                single = boost._ray_phi(kind, col, base, s, 1)[0]
+                got = [ladder(a) for a in alphas]
+                want = [single(a) for a in alphas]
+            assert len(values) == len(alphas)  # two passes served every request
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (s, alphas[0])
+            if kind == "exp" and base.max() > 0:
+                assert math.inf in got
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+def test_one_row_ladders_leave_every_run_output_unchanged(kind, monkeypatch):
+    # the rows per pass are a speed setting only: with every pass one row,
+    # each point's single evaluation, a Wolfe run writes the same CSV and
+    # evaluation counts and ends at the same bits; a numpy whose 2-D
+    # kernels or row sums round differently fails here
+    insts = [f() for f in fixtures.FIXTURES.values()] + [planted("mixed", 50, 20, 0)]
+    assert len(insts) == 9
+    cfg = RunConfig(max_iters=300)
+
+    def outputs():
+        out = []
+        for inst in insts:
+            trace = run(inst, make_loss(kind), cfg)
+            st = trace.final_state
+            out.append((trace.to_csv(), [r.evals for r in trace.records], st.lam.tobytes(),
+                        st.dual_weights.tobytes(), st.objective))
+        return out
+
+    ladders = outputs()
+    monkeypatch.setattr(boost, "_LADDER_ENTRIES", 0)
+    assert boost._ladder_rows(1) == 1
+    assert outputs() == ladders
+
+
+# boost._g calls over 200-step Wolfe runs with grad_tol = 0, as (logistic,
+# exp): the counts seen plus 2% for roundoff.  Seen 235/205 on
+# attainable-slow (m = 3) and 217/211 on planted mixed 50x20; with one row
+# per pass they are 2203/1996 and 800/877.
+G_CALL_CAPS = {"attainable-slow": (240, 210), "mixed-50x20": (222, 216)}
+
+
+def _count_loss_passes(monkeypatch):
+    """Count boost._g calls, 2-D (ladder) ones among them, and g' evaluations on the ray."""
+    counts = collections.Counter()
+    g, gp_on_ray = boost._g, boost._gp_on_ray
+
+    def counting_g(kind, x):
+        counts["g"] += 1
+        counts["ladder"] += np.ndim(x) == 2
+        return g(kind, x)
+
+    def counting_gp(*args):
+        counts["dphi"] += 1
+        return gp_on_ray(*args)
+
+    monkeypatch.setattr(boost, "_g", counting_g)
+    monkeypatch.setattr(boost, "_gp_on_ray", counting_gp)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(G_CALL_CAPS))
+def test_wolfe_loss_passes_stay_within_their_pins(name, monkeypatch):
+    counts = _count_loss_passes(monkeypatch)
+    inst = (fixtures.attainable_slow() if name == "attainable-slow"
+            else planted("mixed", 50, 20, 0))
+    for kind, cap in zip(("logistic", "exp"), G_CALL_CAPS[name]):
+        counts.clear()
+        trace = run(inst, make_loss(kind), RunConfig(grad_tol=0.0, max_iters=200))
+        assert len(trace.records) == 200
+        assert counts["g"] <= cap, (kind, counts)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "exp"])
+def test_above_the_ladder_budget_phi_computes_no_speculative_rows(kind, monkeypatch):
+    # at m = 600 every pass is one row: the kernels run once per phi
+    # evaluation, plus once for the start and for each rebuild from A @ lam
+    assert [boost._ladder_rows(m) for m in (3, 50, 128, 129, 600)] == [16, 10, 4, 1, 1]
+    counts = _count_loss_passes(monkeypatch)
+    inst = planted("mixed", 600, 60, 0)
+    steps = 200
+    trace = run(inst, make_loss(kind), RunConfig(grad_tol=0.0, max_iters=steps))
+    assert len(trace.records) == steps
+    phi_evals = sum(r.evals for r in trace.records) - counts["dphi"]
+    rebuilds = 1 + steps // boost.REFRESH_EVERY + int(steps % boost.REFRESH_EVERY != 0)
+    assert counts["ladder"] == 0
+    assert counts["g"] == phi_evals + rebuilds

@@ -56,6 +56,20 @@ def test_gen_unknown_fixture(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--regime", "attainable"], "--regime"),
+    (["--seed", "0"], "--seed"),  # today's default value, given explicitly
+    (["--m", "4"], "--m"),
+    (["--n", "3", "--entries", "uniform"], "--n, --entries"),
+])
+def test_gen_named_fixture_refuses_random_flags(flags, named, tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    code, stdout, err = _run(capsys, "gen", "mixed-3x2", *flags, "--out", str(out))
+    assert code == 1
+    assert f"error: {named} only apply to 'gen random'" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_run_converged_instance(tmp_path, capsys):
     path = tmp_path / "pair.json"
     write_instance(fixtures.attainable_pair(), path)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from boostcd import fixtures, structure
+from boostcd import boost, fixtures, structure
 from boostcd.instance import (
     BoostInstance,
     InstanceValidationError,
@@ -25,6 +25,8 @@ from boostcd.instance import (
     to_json,
     write_instance,
 )
+from boostcd.losses import make_loss
+from references import planted
 
 
 def test_validation_rejects_out_of_range_with_offenders():
@@ -412,3 +414,34 @@ def test_read_instance_peak_memory_is_about_twice_the_matrix(tmp_path):
         tracemalloc.stop()
     assert inst.a.shape == (m, n)
     assert peak < 2.5 * m * n * 8
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak while ``call()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_analysis_peak_memory_is_a_pinned_multiple_of_the_matrix():
+    # a planted 600x60 analysis peaked at 7.18 times A's bytes (the same
+    # in all three regimes, and 7.12 at 1000x50); the pin leaves 11%
+    inst = planted("attainable", 600, 60, 0)
+    peak, report = _peak_bytes(lambda: structure.analyze(inst))
+    assert report.regime == "attainable"
+    assert peak < 8.0 * inst.a.nbytes
+
+
+def test_certificate_peak_memory_is_a_pinned_multiple_of_the_matrix():
+    # a certificate at a planted 2000x200 iterate peaked at 1.13 times A's
+    # bytes, its one m x n copy for the QR; the pin leaves 15%
+    inst = planted("attainable", 2000, 200, 0)
+    loss = make_loss("logistic")
+    state = boost.run(inst, loss, boost.RunConfig(max_iters=30)).final_state
+    peak, cert = _peak_bytes(lambda: structure.dual_certificate(inst, loss, state))
+    assert cert is not None
+    assert peak < 1.3 * inst.a.nbytes
