@@ -23,18 +23,20 @@ import numpy as np
 
 from . import boost, fixtures
 from .boost import RunConfig, Trace, lam_from_steps, run
-from .instance import REGIMES, WEAK_LEARNABLE, atomic_write_text, read_instance, to_json
+from .instance import REGIMES, WEAK_LEARNABLE, atomic_write_text, json_pieces, read_instance
 from .linesearch import C1, C2
 from .losses import LOGISTIC, KINDS, make_loss
 
 SUBOPT_FLOOR = 5e-12  # below this, reference-optimum noise dominates fits
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text, out_path) -> None:
+    """Write text, a str or an iterable of str pieces, to out_path, or to
+    stdout without one."""
     if out_path:
         atomic_write_text(out_path, text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
 def cmd_run(args) -> int:
@@ -117,7 +119,7 @@ def cmd_gen(args) -> int:
     else:
         known = ", ".join(sorted(fixtures.FIXTURES))
         raise ValueError(f"unknown fixture {args.name!r}; known: {known}, random")
-    _emit(to_json(inst), args.out)
+    _emit(json_pieces(inst), args.out)
     return 0
 
 

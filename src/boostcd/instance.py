@@ -15,10 +15,18 @@ the structure analysis's row gathers read across the columns instead.
 
 A file is read in chunks of CHUNK_CHARS characters and its ``entries``
 decoded one row at a time, each row checked (numbers only, never
-booleans, all rows as long as the first) and kept as a small float64
-array until the one column-major matrix is filled from them.  The whole
-text and the whole matrix as Python floats are never held, so a read's
-peak is about twice the float64 matrix plus one chunk and one row.
+booleans, all rows as long as the first).  When "m" and "n" come before
+``entries``, as both writers put them, and the text is long enough to
+hold m x n entries (at least 2 m n characters, a digit and a separator
+each), each row is written straight into the instance's own column-major
+matrix, so a read's peak is the float64 matrix plus one chunk and one
+row.  A header that comes after ``entries``, claims more entries than
+the text can hold or does not fit the rows keeps the rows as small
+float64 arrays, which gives the same values and errors at about twice
+the matrix; a header alone never makes the reader allocate more than the
+text can fill.  The whole text and the whole matrix as Python floats are
+never held.  The writers produce the text one row at a time
+(:func:`json_pieces`), so writing holds one row's text.
 
 A row is decoded by orjson, whose correctly rounded number reader is
 several times faster than the stdlib's and gives the same doubles.  Keys
@@ -64,6 +72,13 @@ def _validated_matrix(entries) -> np.ndarray:
         raise ValueError(f"instance matrix must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"instance matrix must be at least 1x1, got shape {a.shape}")
+    _check_entries(a)
+    return a
+
+
+def _check_entries(a: np.ndarray) -> None:
+    """Raise InstanceValidationError naming the entries of the float64
+    matrix ``a`` that are outside [-1, 1] or not finite."""
     # NaN propagates through min and max, so this one check, which
     # allocates nothing, also sees it
     if not (a.min() >= -1.0 and a.max() <= 1.0):
@@ -76,7 +91,6 @@ def _validated_matrix(entries) -> np.ndarray:
             f"0-based: {shown}{more}",
             offenders,
         )
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +98,20 @@ class BoostInstance:
     a: np.ndarray
 
     def __post_init__(self):
-        a = _validated_matrix(self.a)
+        self._own(_validated_matrix(self.a))
+
+    @classmethod
+    def _of_filled(cls, a: np.ndarray) -> "BoostInstance":
+        """The instance whose matrix is ``a`` itself, not a copy of it:
+        ``a`` is a float64 column-major matrix, at least 1x1, that nothing
+        else holds, as the reader fills one.  Its entries are checked as
+        the constructor checks them."""
+        _check_entries(a)
+        inst = object.__new__(cls)
+        inst._own(a)
+        return inst
+
+    def _own(self, a: np.ndarray) -> None:
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -126,14 +153,21 @@ def make_instance(entries) -> BoostInstance:
 # ---------------------------------------------------------------------------
 # serialization
 
+def json_pieces(inst: BoostInstance):
+    """The instance's JSON text in pieces, one per row, so a writer holds
+    one row's text at a time; ``to_json`` joins them."""
+    yield '{\n  "m": %d,\n  "n": %d,\n  "entries": [\n    ' % (inst.m, inst.n)
+    sep = ""
+    for row in inst.a:
+        # one row is converted to Python floats at a time; repr writes the
+        # shortest decimal that reads back as the same double, -0.0 included
+        yield sep + "[" + ", ".join(map(repr, row.tolist())) + "]"
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
+
 def to_json(inst: BoostInstance) -> str:
-    # one row is converted to Python floats at a time; repr writes the
-    # shortest decimal that reads back as the same double, -0.0 included
-    rows = ",\n    ".join("[" + ", ".join(map(repr, row.tolist())) + "]" for row in inst.a)
-    return (
-        '{\n  "m": %d,\n  "n": %d,\n  "entries": [\n    %s\n  ]\n}\n'
-        % (inst.m, inst.n, rows)
-    )
+    return "".join(json_pieces(inst))
 
 
 # Characters read from the file at a time.
@@ -206,13 +240,17 @@ class _Stream:
                 return obj
 
 
-def _rows(stream: _Stream) -> list:
-    """The rows of ``entries``, each a float64 array, decoded one at a time.
+def _rows(stream: _Stream, shape=None):
+    """The rows of ``entries``, decoded one at a time.  With ``shape``
+    given and rows that fit it exactly, each row is written straight into
+    one column-major float64 matrix of that shape, which is returned;
+    otherwise the rows are returned as a list of float64 arrays, with the
+    same values.
 
     A row is decoded by orjson from its start to the first "]".  orjson
     refuses some rows that the stdlib decoder reads: NaN, Infinity,
     -Infinity and numbers past the double range, which the checks below
-    and ``_validated_matrix`` then name.  It also refuses a row that is
+    and ``_check_entries`` then name.  It also refuses a row that is
     not one flat list ending at that "]" (a nested list, a string holding
     "]", malformed text).  Such a row is decoded again by ``stream.value``,
     so its value or its error is the stdlib's.  Each entry's type is
@@ -223,8 +261,9 @@ def _rows(stream: _Stream) -> list:
     if stream.peek() == "]":
         stream.pos += 1
         return rows
+    a = None  # the matrix of ``shape``, while the rows fit it
+    i = 0
     while True:
-        i = len(rows)
         # a row of numbers ends at the first "]": with that in the buffer,
         # a row is decoded once, not once more for each chunk it spans
         while (end := stream.buf.find("]", stream.pos)) < 0 and stream.more():
@@ -243,7 +282,8 @@ def _rows(stream: _Stream) -> list:
             numbers_only = not any(c in text for c in _NON_NUMBER_STARTS)
         if type(row) is not list:
             raise _malformed(f"row {i} is not a list, got {type(row).__name__}")
-        n = len(rows[0]) if rows else len(row)
+        if i == 0:
+            n = len(row)
         if len(row) != n or not row:
             raise _malformed(f"row {i} has {len(row)} entries, expected {n or 'at least 1'}")
         # bool is an int subclass, so the types are compared, not isinstance'd
@@ -251,21 +291,34 @@ def _rows(stream: _Stream) -> list:
             bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
             raise _malformed(f"row {i} has an entry that is not a number: {bad!r}")
         try:
-            rows.append(np.array(row, dtype=np.float64))
+            values = np.array(row, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
             raise _malformed(f"row {i} has an integer too large for a float") from None
+        if i == 0 and shape is not None and shape[1] == n:
+            a = np.empty(shape, order="F")
+        if a is not None and i < len(a):
+            a[i] = values
+        else:
+            if a is not None:  # more rows than declared
+                rows, a = list(a), None
+            rows.append(values)
         sep = stream.peek()
         stream.pos += 1
         if sep == "]":
-            return rows
+            if a is None:
+                return rows
+            return a if i + 1 == len(a) else list(a[:i + 1])
         if sep != ",":
             raise _malformed(f"expected ',' or ']' after row {i}")
+        i += 1
 
 
-def _load(fh) -> BoostInstance:
-    """The instance in the JSON text that ``fh.read`` returns: the
-    top-level object is walked key by key and ``entries`` decoded one row
-    at a time."""
+def _load(fh, size: int = 0) -> BoostInstance:
+    """The instance in the JSON text that ``fh.read`` returns, of ``size``
+    characters or bytes (0 if not known): the top-level object is walked
+    key by key and ``entries`` decoded one row at a time.  When "m" and
+    "n" come before ``entries`` and the text can hold that many entries,
+    the rows are written straight into the instance's matrix."""
     stream = _Stream(fh)
     obj = {}
     stream.expect("{")
@@ -277,7 +330,15 @@ def _load(fh) -> BoostInstance:
             if type(key) is not str:
                 raise _malformed(f"object keys must be strings, got {key!r}")
             stream.expect(":")
-            obj[key] = _rows(stream) if key == "entries" else stream.value()
+            if key == "entries":
+                # every entry takes a digit and a separator, so a header
+                # the text cannot hold allocates nothing
+                shape = (obj.get("m"), obj.get("n"))
+                fits = (all(type(d) is int and d > 0 for d in shape)
+                        and 2 * shape[0] * shape[1] <= size)
+                obj[key] = _rows(stream, shape if fits else None)
+            else:
+                obj[key] = stream.value()
             if stream.peek() == "}":
                 stream.pos += 1
                 break
@@ -289,7 +350,9 @@ def _load(fh) -> BoostInstance:
     for key in ("m", "n"):
         if type(obj[key]) is not int:  # bool is an int subclass; 1.0 is not an int
             raise _malformed(f'"{key}" must be an integer, got {obj[key]!r}')
-    inst = make_instance(obj.pop("entries"))
+    entries = obj.pop("entries")
+    inst = (make_instance(entries) if type(entries) is list
+            else BoostInstance._of_filled(entries))
     if inst.m != obj["m"] or inst.n != obj["n"]:
         raise ValueError(
             f"declared shape ({obj['m']}, {obj['n']}) does not match "
@@ -299,13 +362,14 @@ def _load(fh) -> BoostInstance:
 
 
 def from_json(text: str) -> BoostInstance:
-    return _load(io.StringIO(text))
+    return _load(io.StringIO(text), len(text))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file + rename, so readers never see
-    a partial file.  The file gets the mode a plain open gives, 0o666
-    less the umask (mkstemp would give 0o600)."""
+def atomic_write_text(path, text) -> None:
+    """Write text, a str or an iterable of str pieces, to path via a temp
+    file + rename, so readers never see a partial file.  The file gets the
+    mode a plain open gives, 0o666 less the umask (mkstemp would give
+    0o600)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
@@ -313,7 +377,7 @@ def atomic_write_text(path, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -325,8 +389,8 @@ def atomic_write_text(path, text: str) -> None:
 
 def read_instance(path) -> BoostInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return _load(fh)
+        return _load(fh, os.fstat(fh.fileno()).st_size)
 
 
 def write_instance(inst: BoostInstance, path) -> None:
-    atomic_write_text(path, to_json(inst))
+    atomic_write_text(path, json_pieces(inst))

@@ -150,7 +150,10 @@ def _dual_core(inst: BoostInstance) -> Tuple[list, np.ndarray, np.ndarray]:
         # a 30 x 12 analysis took 25-40% longer)
         r11 = f.qr[:rank, :rank]
         q_r_t = scipy.linalg.blas.dtrsm(1.0, r11, b[:, f.piv[:rank]].T, trans_a=1)
-        x, y = solve(np.hstack([q_r_t, q_r_t]), np.zeros(rank),
+        # G holds it twice, and a third copy kept through the solve is A's bytes
+        g = np.hstack([q_r_t, q_r_t])
+        del q_r_t
+        x, y = solve(g, np.zeros(rank),
                      np.concatenate([-np.ones(k), np.zeros(k)]), np.ones(k))
         in_core = x[:k] > 0.5
         core[nz[in_core]] = True
